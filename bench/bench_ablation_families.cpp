@@ -39,7 +39,7 @@ int main() {
   families.push_back({"Karatsuba", gen::generate_karatsuba(field)});
 
   TextTable table({"family", "#eqns", "ANDs", "XOR2s", "depth",
-                   "extract(s)", "mem", "P(x) recovered"});
+                   "extract(s)", "flow(s)", "mem", "P(x) recovered"});
   bool all_ok = true;
   for (const auto& family : families) {
     const auto row = bench::run_flow_row(family.netlist, field, 0.0);
@@ -52,7 +52,8 @@ int main() {
                    fmt_thousands(and_count),
                    fmt_thousands(family.netlist.xor2_equivalent_count()),
                    std::to_string(family.netlist.depth()),
-                   fmt_double(row.extract_seconds, 3), row.memory,
+                   fmt_double(row.extract_seconds, 3),
+                   fmt_double(row.flow_seconds, 3), row.memory,
                    row.success ? "yes" : "NO"});
     std::printf("  done %s\n", family.name.c_str());
     std::fflush(stdout);

@@ -42,7 +42,7 @@ int main() {
     const auto netlist = gen::generate_montgomery(field);
     rows.push_back(bench::run_flow_row(netlist, field, gen_timer.seconds(),
                                        paper_ref(m)));
-    std::printf("  done m=%u (%.2fs)\n", m, rows.back().extract_seconds);
+    std::printf("  done m=%u (%.2fs)\n", m, rows.back().flow_seconds);
     std::fflush(stdout);
   }
   std::printf("\n");

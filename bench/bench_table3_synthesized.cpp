@@ -47,8 +47,8 @@ int main() {
   if (full_scale_requested()) widths = {64, 163, 233, 409};
 
   TextTable table({"m", "P(x)", "kind", "#eqns raw", "#eqns syn", "syn(s)",
-                   "extract(s)", "mem", "paper extract(s)", "paper mem",
-                   "recovered"});
+                   "extract(s)", "flow(s)", "mem", "paper extract(s)",
+                   "paper mem", "recovered"});
   bool all_ok = true;
 
   for (unsigned m : widths) {
@@ -70,7 +70,8 @@ int main() {
                      "Mastrovito-syn", fmt_thousands(raw.num_equations()),
                      fmt_thousands(syn.num_equations()),
                      fmt_double(syn_seconds, 1),
-                     fmt_double(row.extract_seconds, 2), row.memory,
+                     fmt_double(row.extract_seconds, 2),
+                     fmt_double(row.flow_seconds, 2), row.memory,
                      fmt_double(paper.mastrovito_runtime, 1),
                      paper.mastrovito_mem, row.success ? "yes" : "NO"});
     }
@@ -86,7 +87,8 @@ int main() {
                      "Montgomery-syn", fmt_thousands(raw.num_equations()),
                      fmt_thousands(syn.num_equations()),
                      fmt_double(syn_seconds, 1),
-                     fmt_double(row.extract_seconds, 2), row.memory,
+                     fmt_double(row.extract_seconds, 2),
+                     fmt_double(row.flow_seconds, 2), row.memory,
                      fmt_double(paper.montgomery_runtime, 1),
                      paper.montgomery_mem, row.success ? "yes" : "NO"});
     }

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
-#include "core/permutation.hpp"
-#include "core/poly_extract.hpp"
+#include "core/product_counts.hpp"
 #include "gf2poly/irreducible.hpp"
 #include "util/error.hpp"
 #include "util/rss.hpp"
@@ -118,19 +117,22 @@ FlowReport analyze_extraction(const nl::Netlist& netlist,
   report.equations = netlist.num_equations();
   report.extraction = std::move(extraction);
 
+  // Phases 2-4 all read one count of each output's product sets, taken
+  // here in a single pass over the ANFs (core/product_counts.hpp).
+  ProductCounts counts(report.extraction.anfs, ports);
+
   // Phase 2: Algorithm 2 (Theorem 3 membership test).
-  report.algorithm2_p = recover_irreducible(report.extraction.anfs, ports);
+  report.algorithm2_p = recover_irreducible(counts);
 
   // Phase 3: full reduction-matrix recovery + classification.
-  report.recovery = recover_reduction_matrix(report.extraction.anfs, ports);
+  report.recovery = recover_reduction_matrix(counts);
 
   // Phase 3b (extension): if the declared output order does not form a
   // multiplier, the bus may be permuted — recover the bit order from the
-  // in-field product sets and retry.
+  // in-field product sets and retry on the permuted counts.
   if (report.recovery.circuit_class == CircuitClass::NotAMultiplier &&
       options.try_output_permutation) {
-    if (const auto order =
-            recover_output_order(report.extraction.anfs, ports)) {
+    if (const auto order = recover_output_order(counts)) {
       bool identity = true;
       for (unsigned i = 0; i < report.m; ++i) identity &= (*order)[i] == i;
       if (!identity) {
@@ -143,10 +145,9 @@ FlowReport analyze_extraction(const nl::Netlist& netlist,
         report.extraction.anfs = std::move(reordered);
         report.extraction.per_bit = std::move(reordered_stats);
         report.output_permutation = *order;
-        report.algorithm2_p =
-            recover_irreducible(report.extraction.anfs, ports);
-        report.recovery =
-            recover_reduction_matrix(report.extraction.anfs, ports);
+        counts.permute(*order);
+        report.algorithm2_p = recover_irreducible(counts);
+        report.recovery = recover_reduction_matrix(counts);
       }
     }
   }
@@ -157,7 +158,7 @@ FlowReport analyze_extraction(const nl::Netlist& netlist,
       report.recovery.p_is_irreducible) {
     const gf2m::Field field(report.recovery.p);
     report.verification =
-        verify_against_golden(report.extraction.anfs, field, ports,
+        verify_against_golden(counts, report.extraction.anfs, field, ports,
                               report.recovery.circuit_class);
   } else if (!options.verify_with_golden) {
     report.verification.detail = "skipped";

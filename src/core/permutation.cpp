@@ -1,15 +1,12 @@
 #include "core/permutation.hpp"
 
-#include "core/poly_extract.hpp"
-#include "util/error.hpp"
+#include "core/product_counts.hpp"
 
 namespace gfre::core {
 
 std::optional<std::vector<unsigned>> recover_output_order(
-    const std::vector<anf::Anf>& anfs, const nl::MultiplierPorts& ports) {
-  const unsigned m = ports.m();
-  GFRE_ASSERT(anfs.size() == m,
-              "expected " << m << " output ANFs, got " << anfs.size());
+    const ProductCounts& counts) {
+  const unsigned m = counts.m();
 
   // For each output, the set of in-field k (k < m) whose S_k it contains
   // completely must be a singleton {k}; that k is the bit position.
@@ -18,8 +15,7 @@ std::optional<std::vector<unsigned>> recover_output_order(
   for (unsigned out = 0; out < m; ++out) {
     std::optional<unsigned> position;
     for (unsigned k = 0; k < m; ++k) {
-      const auto set = product_set(ports, k);
-      switch (product_set_membership(anfs[out], set)) {
+      switch (counts.membership(out, k)) {
         case SetMembership::All:
           if (position.has_value()) return std::nullopt;  // two claims
           position = k;
@@ -36,6 +32,11 @@ std::optional<std::vector<unsigned>> recover_output_order(
     order[*position] = out;
   }
   return order;
+}
+
+std::optional<std::vector<unsigned>> recover_output_order(
+    const std::vector<anf::Anf>& anfs, const nl::MultiplierPorts& ports) {
+  return recover_output_order(ProductCounts(anfs, ports));
 }
 
 }  // namespace gfre::core

@@ -1,5 +1,6 @@
 #include "core/poly_extract.hpp"
 
+#include "core/product_counts.hpp"
 #include "util/error.hpp"
 
 namespace gfre::core {
@@ -33,20 +34,21 @@ SetMembership product_set_membership(const Anf& anf,
   return SetMembership::Mixed;
 }
 
-gf2::Poly recover_irreducible(const std::vector<Anf>& anfs,
-                              const nl::MultiplierPorts& ports) {
-  const unsigned m = ports.m();
-  GFRE_ASSERT(anfs.size() == m,
-              "expected " << m << " output ANFs, got " << anfs.size());
-  const auto p_m = product_set(ports, m);
-
+gf2::Poly recover_irreducible(const ProductCounts& counts) {
+  const unsigned m = counts.m();
+  GFRE_ASSERT(m >= 2, "product set S_" << m << " is empty");
   gf2::Poly p = gf2::Poly::monomial(m);  // line 2: P(x) = x^m
   for (unsigned i = 0; i < m; ++i) {     // lines 3-9
-    if (product_set_membership(anfs[i], p_m) == SetMembership::All) {
+    if (counts.membership(i, m) == SetMembership::All) {
       p.flip_coeff(i);  // line 7: P(x) += x^i
     }
   }
   return p;
+}
+
+gf2::Poly recover_irreducible(const std::vector<Anf>& anfs,
+                              const nl::MultiplierPorts& ports) {
+  return recover_irreducible(ProductCounts(anfs, ports));
 }
 
 }  // namespace gfre::core

@@ -6,6 +6,13 @@
 // P(x) = x^m + P'(x) it lands exactly on the output bits named by P'(x).
 // Hence x^i is a term of P(x) iff *all* monomials of P_m appear in output
 // bit i's ANF (and x^m is always a term).
+//
+// recover_irreducible reads that membership off one counting pass over the
+// ANFs (core/product_counts.hpp): every a_i*b_j monomial is counted in
+// bucket i + j, and bucket m is compared with |P_m| = m - 1, in
+// O(#monomials).  product_set_membership spells the test out member by
+// member; it is the textbook reference the tests check the counting pass
+// against, and the flow does not call it.
 #pragma once
 
 #include <vector>

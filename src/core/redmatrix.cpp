@@ -1,7 +1,6 @@
 #include "core/redmatrix.hpp"
 
-#include <unordered_map>
-
+#include "core/product_counts.hpp"
 #include "gf2m/field.hpp"
 #include "gf2poly/irreducible.hpp"
 #include "util/error.hpp"
@@ -20,58 +19,35 @@ std::string to_string(CircuitClass c) {
   return "?";
 }
 
-namespace {
-
-/// Checks that every monomial of every ANF is a product a_i * b_j of one
-/// bit of each operand.  Returns a diagnosis string on violation.
-std::string check_bilinear(const std::vector<Anf>& anfs,
-                           const nl::MultiplierPorts& ports) {
-  enum class Side : std::uint8_t { A, B };
-  std::unordered_map<anf::Var, Side> side;
-  for (anf::Var v : ports.a.bits) side[v] = Side::A;
-  for (anf::Var v : ports.b.bits) side[v] = Side::B;
-
-  for (std::size_t i = 0; i < anfs.size(); ++i) {
-    for (const auto& monomial : anfs[i].monomials()) {
-      if (monomial.degree() != 2) {
-        return "output bit " + std::to_string(i) +
-               " has a non-bilinear monomial of degree " +
-               std::to_string(monomial.degree());
-      }
-      const auto sa = side.find(monomial.vars()[0]);
-      const auto sb = side.find(monomial.vars()[1]);
-      if (sa == side.end() || sb == side.end() ||
-          sa->second == sb->second) {
-        return "output bit " + std::to_string(i) +
-               " mixes operand sides in a monomial";
-      }
-    }
-  }
-  return "";
-}
-
-}  // namespace
-
-RecoveryReport recover_reduction_matrix(const std::vector<Anf>& anfs,
-                                        const nl::MultiplierPorts& ports) {
-  const unsigned m = ports.m();
+RecoveryReport recover_reduction_matrix(const ProductCounts& counts) {
+  const unsigned m = counts.m();
   GFRE_ASSERT(m >= 2, "need m >= 2");
-  GFRE_ASSERT(anfs.size() == m,
-              "expected " << m << " output ANFs, got " << anfs.size());
 
   RecoveryReport report;
 
-  if (std::string why = check_bilinear(anfs, ports); !why.empty()) {
-    report.diagnosis = why;
-    return report;
+  // Every monomial of every ANF must be a product a_i * b_j of one bit of
+  // each operand.
+  for (unsigned i = 0; i < m; ++i) {
+    switch (counts.violation(i)) {
+      case ProductViolation::None:
+        continue;
+      case ProductViolation::Degree:
+        report.diagnosis = "output bit " + std::to_string(i) +
+                           " has a non-bilinear monomial of degree " +
+                           std::to_string(counts.violation_degree(i));
+        return report;
+      case ProductViolation::MixedSides:
+        report.diagnosis = "output bit " + std::to_string(i) +
+                           " mixes operand sides in a monomial";
+        return report;
+    }
   }
 
   // Membership matrix: rows[k].coeff(i) = does S_k feed output bit i?
   report.rows.assign(2 * m - 1, Poly{});
   for (unsigned k = 0; k <= 2 * m - 2; ++k) {
-    const auto set = product_set(ports, k);
     for (unsigned i = 0; i < m; ++i) {
-      switch (product_set_membership(anfs[i], set)) {
+      switch (counts.membership(i, k)) {
         case SetMembership::All:
           report.rows[k].set_coeff(i, true);
           break;
@@ -174,6 +150,12 @@ RecoveryReport recover_reduction_matrix(const std::vector<Anf>& anfs,
       "bit functions are bilinear but neither Z = A*B mod P nor "
       "Z = A*B*x^(-m) mod P fits the recovered coefficient matrix";
   return report;
+}
+
+RecoveryReport recover_reduction_matrix(const std::vector<Anf>& anfs,
+                                        const nl::MultiplierPorts& ports) {
+  GFRE_ASSERT(ports.m() >= 2, "need m >= 2");
+  return recover_reduction_matrix(ProductCounts(anfs, ports));
 }
 
 }  // namespace gfre::core

@@ -13,6 +13,13 @@
 //      P(x) itself — beyond the paper's scope,
 //   4. reject buggy or non-multiplier netlists with a diagnosis instead of
 //      emitting a bogus polynomial.
+//
+// The matrix comes from the counting pass Algorithm 2 also reads
+// (core/product_counts.hpp): one walk over each output ANF checks that
+// every monomial is a product a_i*b_j and counts it in bucket i + j; row k
+// then holds the outputs whose bucket k equals |S_k|, and a bucket that is
+// neither full nor empty is a split set.  Cost: O(#monomials), where
+// probing all 2m-1 sets against all m outputs took ~m^3 hash probes.
 #pragma once
 
 #include <string>

@@ -980,9 +980,9 @@ struct BatchScheduler::Impl {
   }
 
   /// Marks job Done, resolves its duplicates from the freshly cached
-  /// result, releases the per-job working set and queues everything for
-  /// delivery (callback + promise, which the caller performs WITHOUT the
-  /// lock).  Requires mu_.
+  /// result and queues everything for delivery (netlist release, callback
+  /// and promise, which the caller performs WITHOUT the lock).  Requires
+  /// mu_.
   void finish_locked(Job& job, std::vector<Job*>& done) {
     job.result.name = job.spec.name;
     job.result.path = job.spec.path;
@@ -1031,15 +1031,21 @@ struct BatchScheduler::Impl {
       done.push_back(dup);
     }
     job.followers.clear();
-    job.loaded.reset();
-    job.spec.netlist.reset();
     job.net = nullptr;
   }
 
-  /// Runs callbacks and fulfills promises for finished jobs.  MUST be
-  /// called without mu_: callbacks may re-enter submit()/cancel()/stats(),
-  /// and promise fulfillment wakes arbitrary waiters.
+  /// Frees finished jobs' netlists, then runs callbacks and fulfills
+  /// promises.  MUST be called without mu_: callbacks may re-enter
+  /// submit()/cancel()/stats(), and promise fulfillment wakes arbitrary
+  /// waiters.
   void deliver(const std::vector<Job*>& done) {
+    // Tearing down a crypto-scale netlist takes tens of milliseconds: here
+    // it stalls no other worker's claims, and it still ends before the
+    // callback, so a closed-loop submitter never holds two live netlists.
+    for (Job* job : done) {
+      job->loaded.reset();
+      job->spec.netlist.reset();
+    }
     for (Job* job : done) {
       if (job->callback) {
         try {

@@ -9,7 +9,11 @@
 // matrix of P(x) (StandardProduct) or its x^(-m)-shifted form
 // (MontgomeryRaw).  Because ANF is canonical, implementation == spec iff
 // the monomial sets match exactly — a complete equivalence check, not a
-// sampling argument.
+// sampling argument.  verify_against_golden decides that without building
+// the spec: the product sets are disjoint, so output i matches iff its
+// product-set counts (core/product_counts.hpp) fill exactly the sets that
+// column i of C names and its ANF holds nothing else.  C comes from the
+// field, never from the recovered matrix, so the check stays independent.
 #pragma once
 
 #include <string>

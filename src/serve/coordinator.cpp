@@ -184,7 +184,6 @@ struct Coordinator::Impl {
       std::signal(SIGTERM, SIG_DFL);
       WorkerConfig config = options.worker;
       config.threads = options.threads_per_worker;
-      config.max_queued = options.worker_queue_cap;
       ::_exit(worker_main(sv[1], config));
     }
     ::close(sv[1]);

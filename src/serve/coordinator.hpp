@@ -58,8 +58,8 @@ struct CoordinatorOptions {
   unsigned workers = 2;
   /// BatchScheduler pool width inside each worker process.
   unsigned threads_per_worker = 1;
-  /// Per-worker bound on dispatched-but-unresolved jobs (mirrored into the
-  /// worker's own BatchOptions::max_queued); 0 = unbounded.
+  /// Per-worker bound on dispatched-but-unresolved jobs, enforced here
+  /// only (the worker's own scheduler is unbounded); 0 = unbounded.
   std::size_t worker_queue_cap = 0;
   /// Re-dispatches allowed per job after worker deaths before the job is
   /// diagnosed `worker_failed`.  2 means a job survives two fleet
@@ -67,7 +67,7 @@ struct CoordinatorOptions {
   unsigned max_retries = 2;
   /// Fork a replacement when a worker dies (never while draining).
   bool respawn = true;
-  WorkerConfig worker;  ///< threads/max_queued are overwritten from above
+  WorkerConfig worker;  ///< threads is overwritten from above
   /// Closes server-owned fds (listen sockets, client connections) in the
   /// forked child before worker_main, so a worker never holds them open
   /// past the server's death.

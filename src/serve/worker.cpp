@@ -113,7 +113,6 @@ int worker_main(int fd, const WorkerConfig& config) {
 
   core::BatchOptions options;
   options.threads = config.threads == 0 ? 1 : config.threads;
-  options.max_queued = config.max_queued;
   if (!config.cache_dir.empty()) {
     try {
       options.result_cache = std::make_shared<core::ResultCache>(
@@ -158,14 +157,12 @@ int worker_main(int fd, const WorkerConfig& config) {
           std::lock_guard<std::mutex> lock(handles_mu);
           handles.erase(id);
         };
-        // try_submit under a bounded queue: the worker's read loop must
-        // never block on admission, or cancel/stats messages would sit
-        // unread behind it.  The coordinator mirrors the cap, so this
-        // rejection firing means the two views diverged — still resolved
-        // correctly, as a rejected result event.
-        auto ticket = options.max_queued != 0
-                          ? scheduler.try_submit(std::move(job), on_complete)
-                          : scheduler.submit(std::move(job), on_complete);
+        // Admission belongs to the coordinator alone.  It frees a job's
+        // slot when the result event arrives, before this scheduler has
+        // retired the job, so a second cap here would still count the job
+        // and reject the one that refills the slot.  Unbounded, submit
+        // never blocks this read loop.
+        auto ticket = scheduler.submit(std::move(job), on_complete);
         if (ticket.handle != 0) {
           std::lock_guard<std::mutex> lock(handles_mu);
           // The callback may already have fired for fast jobs; don't

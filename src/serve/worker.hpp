@@ -39,11 +39,6 @@ std::string submit_message(std::uint64_t id, const core::BatchJob& job);
 struct WorkerConfig {
   /// Extraction pool width inside this worker process.
   unsigned threads = 1;
-  /// BatchOptions::max_queued for the worker's scheduler; 0 = unbounded.
-  /// The coordinator normally mirrors this as its per-worker in-flight
-  /// cap, so worker-side rejection is defense in depth, not the admission
-  /// mechanism clients see.
-  std::size_t max_queued = 0;
   /// Shared persistent cache directory ("" = no disk cache).
   std::string cache_dir;
   std::uint64_t cache_cap_bytes = 0;

@@ -8,6 +8,8 @@
 
 #include "core/batch.hpp"
 #include "core/flow.hpp"
+#include "gen/mastrovito.hpp"
+#include "gf2m/field.hpp"
 #include "netlist/io_blif.hpp"
 #include "netlist/io_eqn.hpp"
 #include "netlist/io_verilog.hpp"
@@ -91,6 +93,21 @@ TEST(Corpus, CryptoScaleMastrovitoB163) {
   EXPECT_TRUE(report.success) << report.summary();
   EXPECT_EQ(report.recovery.p, (Poly{163, 7, 6, 3, 0}));
   EXPECT_EQ(report.m, 163u);
+}
+
+TEST(Corpus, CryptoScaleMastrovitoB283InMemory) {
+  // NIST B-283 (P(x) = x^283 + x^12 + x^7 + x^5 + 1), generated in memory
+  // rather than frozen: Algorithm 2, the reduction-matrix analysis and the
+  // golden verification run end to end above m = 163 in every test run.
+  const gf2m::Field field(Poly{283, 12, 7, 5, 0});
+  const auto netlist = gen::generate_mastrovito(field);
+  core::FlowOptions options;
+  options.threads = 2;
+  const auto report = core::reverse_engineer(netlist, options);
+  EXPECT_TRUE(report.success) << report.summary();
+  EXPECT_EQ(report.recovery.p, field.modulus());
+  EXPECT_TRUE(report.verification.equivalent) << report.verification.detail;
+  EXPECT_EQ(report.m, 283u);
 }
 
 TEST(Corpus, HandWrittenAoiNandMultiplier) {

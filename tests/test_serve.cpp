@@ -399,6 +399,53 @@ TEST(Coordinator, TrySubmitRejectsAtFullFleet) {
   coordinator.shutdown(30s);
 }
 
+TEST(Coordinator, ClosedLoopAtQueueCapIsNeverRejected) {
+  // A client that keeps exactly worker_queue_cap jobs in flight never meets
+  // a full fleet: the coordinator frees a slot on each result event and the
+  // client refills it at once.  The worker must take that job even though
+  // its scheduler may not have retired the finished one yet.
+  CoordinatorOptions options;
+  options.workers = 1;
+  options.threads_per_worker = 2;
+  options.worker_queue_cap = 2;
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t in_flight = 0;
+  std::size_t resolved = 0;
+  std::size_t rejected = 0;
+  std::size_t ok = 0;
+  const Coordinator::Callback on_result = [&](const ServeResult& r) {
+    std::lock_guard<std::mutex> lock(mu);
+    --in_flight;
+    ++resolved;
+    if (r.rejected) ++rejected;
+    if (r.ok) ++ok;
+    cv.notify_all();
+  };
+
+  constexpr std::size_t kJobs = 200;
+  const std::vector<std::string> files = fixture_files();
+  Coordinator coordinator(options);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return in_flight < options.worker_queue_cap; });
+      ++in_flight;
+    }
+    coordinator.try_submit(fixture_job(files[i % files.size()]), on_result);
+  }
+  coordinator.drain();
+  const CoordinatorStats stats = coordinator.stats();
+  coordinator.shutdown(30s);
+
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(resolved, kJobs);
+  EXPECT_EQ(rejected, 0u) << "a closed loop at window = cap was turned away";
+  EXPECT_EQ(ok, kJobs);
+  EXPECT_EQ(stats.rejected, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Two-process cache contention (the crash/contention satellite)
 // ---------------------------------------------------------------------------
