@@ -1,19 +1,18 @@
-// Ablation — the three Algorithm-1 substitution backends head to head:
+// Ablation — the Algorithm-1 engine against the textbook oracle:
 //
-//  * packed  — cone-local slot remapping + fixed-width bitset monomials in
-//              an open-addressed flat table (anf/packed.hpp, the default);
-//  * indexed — heap monomials in an unordered set with an occurrence-handle
-//              index (the legacy engine, kept as the ablation baseline);
-//  * naive   — whole-polynomial rescan per gate (the textbook reading of
-//              Algorithm 1).
+//  * packed — cone-local slot remapping + fixed-width bitset monomials in
+//             an open-addressed flat table with an occurrence index
+//             (anf/packed.hpp, the engine);
+//  * naive  — whole-polynomial rescan per gate (the textbook reading of
+//             Algorithm 1, kept as the differential oracle).
 //
 // The design decisions under test: (1) the occurrence index makes each
 // substitution O(occurrences x |gate ANF|) where the naive scan is
 // superlinear in |F| — which is why the paper's Montgomery extractions
 // (Table II) were so much costlier than Mastrovito at the same width; and
 // (2) packing monomials into cache-friendly fixed-width words removes the
-// per-monomial allocation and pointer-chasing the legacy engine pays at
-// exactly the paper's measured hot path, which is the headline speedup.
+// per-monomial allocation and pointer-chasing at exactly the paper's
+// measured hot path.
 //
 // A second, crypto-scale tier pits the packed engine's SIMD kernel layer
 // against its forced-scalar fallback on the NIST binary-field widths
@@ -22,7 +21,7 @@
 // vectorization claim — SIMD >= 1.3x geomean over scalar on the tier.
 //
 // Timings cover extraction only (extract_all_outputs), matching the
-// paper's "runtime" definition; every strategy's ANFs are asserted
+// paper's "runtime" definition; both engines' ANFs are asserted
 // bit-identical before any number is reported.  Results also land in
 // BENCH_rewriting.json (strategy x family x m -> seconds, peak_terms, and
 // for the crypto tier the SIMD level and peak RSS) for the CI perf-trend
@@ -55,7 +54,7 @@ struct Family {
 };
 
 /// Median-of-repeats extraction time: repeat until the total exceeds
-/// ~100 ms (at least 3 runs, capped once a strategy has burned ~2 s so the
+/// ~100 ms (at least 3 runs, capped once an engine has burned ~2 s so the
 /// full-scale naive runs stay bounded) so small widths aren't timer noise.
 double time_extraction(const nl::Netlist& netlist, unsigned threads,
                        core::RewriteStrategy strategy,
@@ -78,7 +77,7 @@ double time_extraction(const nl::Netlist& netlist, unsigned threads,
 
 int main() {
   bench::print_header(
-      "Ablation: packed vs indexed vs naive-scan backward rewriting");
+      "Ablation: packed engine vs naive-scan backward rewriting");
 
   std::vector<unsigned> widths{8, 16, 32, 64};
   if (full_scale_requested()) widths = {16, 32, 64, 96, 163};
@@ -95,11 +94,11 @@ int main() {
        [](const gf2m::Field& f) { return gen::generate_shift_add(f); }},
   };
 
-  TextTable table({"family", "m", "#eqns", "packed(s)", "indexed(s)",
-                   "naive(s)", "pack-speedup", "index-speedup"});
+  TextTable table(
+      {"family", "m", "#eqns", "packed(s)", "naive(s)", "speedup"});
   bench::JsonReport report("rewriting");
-  std::vector<double> packed_speedups_m8_up;
-  std::vector<double> montgomery_index_speedups;
+  std::vector<double> speedups_m8_up;
+  std::vector<double> montgomery_speedups;
 
   for (const Family& family : families) {
     for (unsigned m : widths) {
@@ -108,34 +107,27 @@ int main() {
                                   : gf2::default_irreducible(m));
       const auto netlist = family.generate(field);
 
-      core::ExtractionResult packed_result, indexed_result, naive_result;
+      core::ExtractionResult packed_result, naive_result;
       const double packed_seconds = time_extraction(
           netlist, threads, core::RewriteStrategy::Packed, &packed_result);
-      const double indexed_seconds = time_extraction(
-          netlist, threads, core::RewriteStrategy::Indexed, &indexed_result);
       const double naive_seconds = time_extraction(
           netlist, threads, core::RewriteStrategy::NaiveScan, &naive_result);
 
-      // The ablation is only meaningful if the backends agree bit-exactly.
+      // The ablation is only meaningful if the engines agree bit-exactly.
       for (std::size_t i = 0; i < packed_result.anfs.size(); ++i) {
-        GFRE_ASSERT(packed_result.anfs[i] == indexed_result.anfs[i] &&
-                        packed_result.anfs[i] == naive_result.anfs[i],
-                    "strategies disagree on " << family.name << " m=" << m
-                                              << " bit " << i);
+        GFRE_ASSERT(packed_result.anfs[i] == naive_result.anfs[i],
+                    "engines disagree on " << family.name << " m=" << m
+                                           << " bit " << i);
       }
 
-      const double pack_speedup = indexed_seconds / packed_seconds;
-      const double index_speedup = naive_seconds / indexed_seconds;
+      const double speedup = naive_seconds / packed_seconds;
       table.add_row({family.name, std::to_string(m),
                      fmt_thousands(netlist.num_equations()),
                      fmt_double(packed_seconds, 4),
-                     fmt_double(indexed_seconds, 4),
-                     fmt_double(naive_seconds, 4),
-                     fmt_double(pack_speedup, 1),
-                     fmt_double(index_speedup, 1)});
-      if (m >= 8) packed_speedups_m8_up.push_back(pack_speedup);
+                     fmt_double(naive_seconds, 4), fmt_double(speedup, 1)});
+      if (m >= 8) speedups_m8_up.push_back(speedup);
       if (std::string(family.name) == "montgomery") {
-        montgomery_index_speedups.push_back(index_speedup);
+        montgomery_speedups.push_back(speedup);
       }
 
       const struct {
@@ -143,7 +135,6 @@ int main() {
         double seconds;
         const core::ExtractionResult* result;
       } rows[] = {{"packed", packed_seconds, &packed_result},
-                  {"indexed", indexed_seconds, &indexed_result},
                   {"naive", naive_seconds, &naive_result}};
       for (const auto& row : rows) {
         report.add_record()
@@ -159,7 +150,7 @@ int main() {
       std::fflush(stdout);
     }
   }
-  std::printf("\n%s\n", table.render("Rewriting-strategy ablation").c_str());
+  std::printf("\n%s\n", table.render("Rewriting-engine ablation").c_str());
 
   // ---- Crypto-scale tier: SIMD kernels vs forced scalar, packed engine ----
   //
@@ -265,31 +256,28 @@ int main() {
 
   report.write(env_string("GFRE_BENCH_JSON", "BENCH_rewriting.json"));
 
-  // Claim 1 (legacy, the paper's Table II pain point): the occurrence
-  // index's edge over the naive scan grows with m on flattened Montgomery
-  // netlists, where intermediate expression blow-up makes the rescan
-  // superlinear.
-  const bool index_shape =
-      montgomery_index_speedups.back() > 1.5 &&
-      montgomery_index_speedups.back() > montgomery_index_speedups.front();
-  std::printf("shape check: index speedup on Montgomery grows with m and "
-              "exceeds 1.5x at the top width: %s\n",
-              index_shape ? "PASS" : "FAIL");
+  // Claim 1 (the paper's Table II pain point): the packed engine's edge
+  // over the naive scan grows with m on flattened Montgomery netlists,
+  // where intermediate expression blow-up makes the rescan superlinear.
+  const bool montgomery_shape =
+      montgomery_speedups.back() > 1.5 &&
+      montgomery_speedups.back() > montgomery_speedups.front();
+  std::printf("shape check: packed vs naive speedup on Montgomery grows "
+              "with m and exceeds 1.5x at the top width: %s\n",
+              montgomery_shape ? "PASS" : "FAIL");
 
-  // Claim 2 (this PR's headline): the packed cone-local engine beats the
-  // indexed engine by >= 1.5x on the geometric mean across every family at
-  // m >= 8 — allocation-free fixed-width monomials at the measured hot
-  // path.
+  // Claim 2: the packed engine beats the naive scan by >= 1.5x on the
+  // geometric mean across every family at m >= 8.
   double geo = 1.0;
-  for (double s : packed_speedups_m8_up) geo *= s;
-  geo = std::pow(geo, 1.0 / static_cast<double>(packed_speedups_m8_up.size()));
+  for (double s : speedups_m8_up) geo *= s;
+  geo = std::pow(geo, 1.0 / static_cast<double>(speedups_m8_up.size()));
   const bool packed_shape = geo >= 1.5;
-  std::printf("shape check: packed vs indexed geomean speedup at m >= 8 is "
+  std::printf("shape check: packed vs naive geomean speedup at m >= 8 is "
               "%.2fx (need >= 1.5x): %s\n",
               geo, packed_shape ? "PASS" : "FAIL");
 
-  // Claim 3 (this PR's headline): the SIMD kernel layer beats the forced
-  // scalar fallback by >= 1.3x geomean across the crypto tier.  Only
+  // Claim 3: the SIMD kernel layer beats the forced scalar fallback by
+  // >= 1.3x geomean across the crypto tier.  Only
   // meaningful when the host actually has a vector level — on a
   // scalar-only box the tier still runs (and still checks bit-identity)
   // but the ratio is scalar-vs-scalar noise, so the gate auto-passes.
@@ -307,5 +295,5 @@ int main() {
                 simd::to_string(simd_level), tier_geo,
                 tier_shape ? "PASS" : "FAIL");
   }
-  return (index_shape && packed_shape && tier_shape) ? 0 : 1;
+  return (montgomery_shape && packed_shape && tier_shape) ? 0 : 1;
 }

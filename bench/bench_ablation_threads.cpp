@@ -125,7 +125,6 @@ bool same_outcome(const core::FlowReport& got, const core::FlowReport& want) {
 
 int main() {
   bench::print_header("Ablation: Theorem-2 scaling + batch throughput");
-  const core::RewriteStrategy strategy = bench::configured_strategy();
 
   // -- Section 1: single-circuit thread scaling (the original ablation) ----
   const unsigned m1 = full_scale_requested() ? 233 : 96;
@@ -138,7 +137,7 @@ int main() {
   TextTable scaling({"threads", "wall(s)", "speedup vs 1T"});
   double wall_1t = 0, wall_2t = 0;
   for (unsigned threads : {1u, 2u, 4u}) {
-    const auto result = core::extract_all_outputs(netlist1, threads, strategy);
+    const auto result = core::extract_all_outputs(netlist1, threads);
     if (threads == 1) wall_1t = result.wall_seconds;
     if (threads == 2) wall_2t = result.wall_seconds;
     scaling.add_row({std::to_string(threads),
@@ -163,7 +162,6 @@ int main() {
   std::printf("corpus ready in %.2f s\n\n", gen_timer.seconds());
 
   core::FlowOptions defaults;
-  defaults.strategy = strategy;
   defaults.verify_with_golden = false;  // the paper's "extraction" timing
   const auto jobs = core::parse_manifest(manifest, defaults);
   GFRE_ASSERT(jobs.size() == 100, "expected the 100-job manifest, got "

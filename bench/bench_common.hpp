@@ -52,26 +52,10 @@ struct Row {
   std::optional<PaperReference> paper;
 };
 
-/// Rewriting backend for the table benches: GFRE_STRATEGY
-/// (packed|indexed|naive) overrides the packed default, so any paper table
-/// can be regenerated on any backend without a rebuild.
-inline core::RewriteStrategy configured_strategy() {
-  const std::string name = env_string("GFRE_STRATEGY", "packed");
-  const auto strategy = core::strategy_from_name(name);
-  if (!strategy.has_value()) {
-    std::printf("warning: unknown GFRE_STRATEGY '%s', using packed\n",
-                name.c_str());
-    return core::RewriteStrategy::Packed;
-  }
-  return *strategy;
-}
-
 inline void print_header(const std::string& what) {
   std::printf("=== %s ===\n", what.c_str());
   std::printf("threads: %zu (paper: 16 on a 12-core Xeon E5-2420v2)\n",
               configured_threads());
-  std::printf("engine:  %s (set GFRE_STRATEGY=packed|indexed|naive)\n",
-              core::to_string(configured_strategy()));
   std::printf("scale:   %s (set GFRE_FULL=1 for the paper's full sizes)\n\n",
               full_scale_requested() ? "FULL (paper sizes)" : "scaled");
 }
@@ -106,7 +90,6 @@ inline Row run_flow_row(const nl::Netlist& netlist, const gf2m::Field& field,
                         std::optional<PaperReference> paper = std::nullopt) {
   core::FlowOptions options;
   options.threads = static_cast<unsigned>(configured_threads());
-  options.strategy = configured_strategy();
   options.verify_with_golden = false;
   const auto report = core::reverse_engineer(netlist, options);
 

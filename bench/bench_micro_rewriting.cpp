@@ -14,17 +14,26 @@
 #include "gen/montgomery_gate.hpp"
 #include "gf2m/field.hpp"
 #include "gf2poly/catalog.hpp"
+#include "gf2poly/irreducible.hpp"
 #include "opt/passes.hpp"
 
 namespace {
 
 using gfre::gf2m::Field;
 
+/// The paper's polynomial where its catalog has one (it has none for some
+/// of the widths below, m = 16 among them), else the default irreducible.
+Field bench_field(unsigned m) {
+  return Field(gfre::gf2::has_paper_polynomial(m)
+                   ? gfre::gf2::paper_polynomial(m).p
+                   : gfre::gf2::default_irreducible(m));
+}
+
 const gfre::nl::Netlist& mastrovito_netlist(unsigned m) {
   static std::map<unsigned, gfre::nl::Netlist> cache;
   auto it = cache.find(m);
   if (it == cache.end()) {
-    const Field field(gfre::gf2::paper_polynomial(m).p);
+    const Field field = bench_field(m);
     it = cache.emplace(m, gfre::gen::generate_mastrovito(field)).first;
   }
   return it->second;
@@ -34,15 +43,15 @@ const gfre::nl::Netlist& montgomery_netlist(unsigned m) {
   static std::map<unsigned, gfre::nl::Netlist> cache;
   auto it = cache.find(m);
   if (it == cache.end()) {
-    const Field field(gfre::gf2::paper_polynomial(m).p);
+    const Field field = bench_field(m);
     it = cache.emplace(m, gfre::gen::generate_montgomery(field)).first;
   }
   return it->second;
 }
 
-// Single-bit backward rewriting per substitution backend.  "SingleBit"
-// (no suffix) is the packed default; the Indexed/Naive variants keep the
-// ablation baselines measurable at micro scale.
+// Single-bit backward rewriting.  "SingleBit" (no suffix) is the packed
+// engine; the Naive variant keeps the textbook oracle measurable at micro
+// scale.
 void BM_RewriteSingleBit(benchmark::State& state) {
   const unsigned m = static_cast<unsigned>(state.range(0));
   const auto& netlist = mastrovito_netlist(m);
@@ -52,19 +61,6 @@ void BM_RewriteSingleBit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RewriteSingleBit)->Arg(16)->Arg(64)->Arg(96)->Unit(benchmark::kMicrosecond);
-
-void BM_RewriteSingleBitIndexed(benchmark::State& state) {
-  const unsigned m = static_cast<unsigned>(state.range(0));
-  const auto& netlist = mastrovito_netlist(m);
-  const auto z_mid = *netlist.find_var("z" + std::to_string(m / 2));
-  gfre::core::RewriteOptions options;
-  options.strategy = gfre::core::RewriteStrategy::Indexed;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        gfre::core::extract_output_anf(netlist, z_mid, options));
-  }
-}
-BENCHMARK(BM_RewriteSingleBitIndexed)->Arg(16)->Arg(64)->Arg(96)->Unit(benchmark::kMicrosecond);
 
 void BM_RewriteSingleBitNaive(benchmark::State& state) {
   const unsigned m = static_cast<unsigned>(state.range(0));
@@ -96,16 +92,6 @@ void BM_ExtractAllBitsMontgomery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExtractAllBitsMontgomery)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
-
-void BM_ExtractAllBitsMontgomeryIndexed(benchmark::State& state) {
-  const unsigned m = static_cast<unsigned>(state.range(0));
-  const auto& netlist = montgomery_netlist(m);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gfre::core::extract_all_outputs(
-        netlist, 2, gfre::core::RewriteStrategy::Indexed));
-  }
-}
-BENCHMARK(BM_ExtractAllBitsMontgomeryIndexed)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 
 void BM_Algorithm2Recovery(benchmark::State& state) {
   const unsigned m = static_cast<unsigned>(state.range(0));

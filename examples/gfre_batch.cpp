@@ -8,7 +8,7 @@
 //
 //   # path                     per-job options
 //   rtl/mastrovito_m8.eqn
-//   rtl/montgomery_m16.blif    strategy=indexed
+//   rtl/montgomery_m16.blif    name=monty verify=0
 //   drops/unknown.v            infer=1 max_terms=2000000
 //
 // The driver STREAMS the manifest through a long-lived
@@ -53,7 +53,6 @@ namespace {
 
 void usage(std::ostream& os) {
   os << "usage: gfre_batch --jobs <manifest> [--threads N]\n"
-     << "                  [--strategy packed|indexed|naive]\n"
      << "                  [--ports a,b,z] [--max-terms N]\n"
      << "                  [--library cells.lib]\n"
      << "                  [--queue-cap N] [--deadline-ms N]\n"
@@ -65,11 +64,10 @@ void usage(std::ostream& os) {
      << "\n"
      << "  --jobs FILE        job manifest (required): one netlist per\n"
      << "                     line with optional key=value overrides\n"
-     << "                     (name=, ports=a,b,z, strategy=, infer=,\n"
-     << "                     verify=, permute=, max_terms=, library=,\n"
+     << "                     (name=, ports=a,b,z, infer=, verify=,\n"
+     << "                     permute=, max_terms=, library=,\n"
      << "                     deadline_ms=, priority=high|normal|low)\n"
      << "  --threads N        shared pool width (default: hardware)\n"
-     << "  --strategy NAME    default backend: packed|indexed|naive\n"
      << "  --ports a,b,z      default operand/result port base names\n"
      << "  --max-terms N      default per-bit term budget (0 = unlimited)\n"
      << "  --library FILE     default cell library (.lib subset) resolving\n"
@@ -164,28 +162,13 @@ int main(int argc, char** argv) {
       if (arg == "--jobs" && i + 1 < argc) {
         manifest = argv[++i];
       } else if (arg == "--threads" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          // stoul wraps "-1" to ~4 billion workers.
-          std::cerr << "--threads wants a positive integer\n";
-          usage(std::cerr);
-          return 2;
-        }
-        const unsigned long threads = std::stoul(value);
+        const std::uint64_t threads = parse_u64(argv[++i], arg);
         if (threads == 0 || threads > 4096) {
           std::cerr << "--threads wants 1..4096\n";
           usage(std::cerr);
           return 2;
         }
         batch_options.threads = static_cast<unsigned>(threads);
-      } else if (arg == "--strategy" && i + 1 < argc) {
-        const auto strategy = core::strategy_from_name(argv[++i]);
-        if (!strategy.has_value()) {
-          std::cerr << "unknown strategy '" << argv[i] << "'\n";
-          usage(std::cerr);
-          return 2;
-        }
-        defaults.strategy = *strategy;
       } else if (arg == "--ports" && i + 1 < argc) {
         const std::string spec = argv[++i];
         const auto c1 = spec.find(',');
@@ -199,32 +182,13 @@ int main(int argc, char** argv) {
         defaults.b_base = spec.substr(c1 + 1, c2 - c1 - 1);
         defaults.z_base = spec.substr(c2 + 1);
       } else if (arg == "--max-terms" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          // stoull silently wraps negatives to huge budgets.
-          std::cerr << "--max-terms wants a non-negative integer\n";
-          usage(std::cerr);
-          return 2;
-        }
-        defaults.max_terms = std::stoull(value);
+        defaults.max_terms = parse_u64(argv[++i], arg);
       } else if (arg == "--library" && i + 1 < argc) {
         defaults.library = argv[++i];
       } else if (arg == "--queue-cap" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          std::cerr << "--queue-cap wants a non-negative integer\n";
-          usage(std::cerr);
-          return 2;
-        }
-        batch_options.max_queued = std::stoull(value);
+        batch_options.max_queued = parse_u64(argv[++i], arg);
       } else if (arg == "--deadline-ms" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          std::cerr << "--deadline-ms wants a non-negative integer\n";
-          usage(std::cerr);
-          return 2;
-        }
-        default_deadline_ms = std::stoull(value);
+        default_deadline_ms = parse_u64(argv[++i], arg);
       } else if (arg == "--admission" && i + 1 < argc) {
         const std::string mode = argv[++i];
         if (mode == "block") {
@@ -244,30 +208,11 @@ int main(int argc, char** argv) {
       } else if (arg == "--cache" && i + 1 < argc) {
         cache_dir = argv[++i];
       } else if (arg == "--cache-prune" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          std::cerr << "--cache-prune wants a non-negative byte count\n";
-          usage(std::cerr);
-          return 2;
-        }
-        cache_prune = std::stoull(value);
+        cache_prune = parse_u64(argv[++i], arg);
       } else if (arg == "--cache-cap" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          std::cerr << "--cache-cap wants a positive byte count\n";
-          usage(std::cerr);
-          return 2;
-        }
-        cache_cap = std::stoull(value);
+        cache_cap = parse_u64(argv[++i], arg);
       } else if (arg == "--cache-negative-ttl" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          std::cerr << "--cache-negative-ttl wants a non-negative second "
-                       "count\n";
-          usage(std::cerr);
-          return 2;
-        }
-        cache_negative_ttl = std::stoull(value);
+        cache_negative_ttl = parse_u64(argv[++i], arg);
       } else if (arg == "--out" && i + 1 < argc) {
         out_path = argv[++i];
       } else if (arg == "--quiet") {
@@ -280,8 +225,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-  } catch (const std::exception& e) {
-    // std::stoul/std::stoull reject non-numeric or overflowing values.
+  } catch (const InvalidArgument& e) {
     std::cerr << "bad numeric argument: " << e.what() << "\n";
     usage(std::cerr);
     return 2;

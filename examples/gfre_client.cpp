@@ -17,6 +17,7 @@
 
 #include <condition_variable>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -41,7 +42,6 @@ namespace {
 void usage(std::ostream& os) {
   os << "usage: gfre_client (--socket PATH | --tcp PORT)\n"
      << "                   [--jobs manifest] [--out report.jsonl]\n"
-     << "                   [--strategy packed|indexed|naive]\n"
      << "                   [--ports a,b,z] [--max-terms N]\n"
      << "                   [--library cells.lib]\n"
      << "                   [--deadline-ms N] [--no-verify]\n"
@@ -56,7 +56,6 @@ void usage(std::ostream& os) {
      << "  --out FILE         write per-job results as JSON lines, in\n"
      << "                     manifest order (the workers' verbatim\n"
      << "                     report lines — diffable vs gfre_batch)\n"
-     << "  --strategy NAME    default backend for jobs without one\n"
      << "  --ports a,b,z      default operand/result port base names\n"
      << "  --max-terms N      default per-bit term budget (0 = unlimited)\n"
      << "  --library FILE     default cell library; resolved server-side,\n"
@@ -197,7 +196,7 @@ int main(int argc, char** argv) {
       if (arg == "--socket" && i + 1 < argc) {
         socket_path = argv[++i];
       } else if (arg == "--tcp" && i + 1 < argc) {
-        const unsigned long port = std::stoul(argv[++i]);
+        const std::uint64_t port = parse_u64(argv[++i], arg);
         if (port == 0 || port > 65535) {
           std::cerr << "--tcp wants a port in 1..65535\n";
           return 2;
@@ -207,13 +206,6 @@ int main(int argc, char** argv) {
         manifest = argv[++i];
       } else if (arg == "--out" && i + 1 < argc) {
         out_path = argv[++i];
-      } else if (arg == "--strategy" && i + 1 < argc) {
-        const auto strategy = core::strategy_from_name(argv[++i]);
-        if (!strategy.has_value()) {
-          std::cerr << "unknown strategy '" << argv[i] << "'\n";
-          return 2;
-        }
-        defaults.strategy = *strategy;
       } else if (arg == "--ports" && i + 1 < argc) {
         const std::string spec = argv[++i];
         const auto c1 = spec.find(',');
@@ -227,11 +219,11 @@ int main(int argc, char** argv) {
         defaults.b_base = spec.substr(c1 + 1, c2 - c1 - 1);
         defaults.z_base = spec.substr(c2 + 1);
       } else if (arg == "--max-terms" && i + 1 < argc) {
-        defaults.max_terms = std::stoull(argv[++i]);
+        defaults.max_terms = parse_u64(argv[++i], arg);
       } else if (arg == "--library" && i + 1 < argc) {
         defaults.library = argv[++i];
       } else if (arg == "--deadline-ms" && i + 1 < argc) {
-        default_deadline_ms = std::stoull(argv[++i]);
+        default_deadline_ms = parse_u64(argv[++i], arg);
       } else if (arg == "--no-verify") {
         defaults.verify_with_golden = false;
       } else if (arg == "--stats") {
@@ -250,7 +242,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-  } catch (const std::exception& e) {
+  } catch (const InvalidArgument& e) {
     std::cerr << "bad numeric argument: " << e.what() << "\n";
     usage(std::cerr);
     return 2;

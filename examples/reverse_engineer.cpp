@@ -4,14 +4,8 @@
 //   reverse_engineer [options] <netlist.{eqn,blif,v}>
 //   reverse_engineer --demo           (generate + analyze a sample)
 //
-// Options:
-//   --threads N        extraction threads (default: hardware)
-//   --ports a,b,z      operand/result port base names (default a,b,z)
-//   --strategy NAME    rewriting backend: packed (default), indexed, naive
-//   --naive            shorthand for --strategy naive
-//   --library FILE     cell library (.lib subset) resolving non-builtin cells
-//   --no-verify        skip the golden-model comparison
-//   --trace BIT        print the Algorithm-1 trace of one output bit
+// Options: see usage() below (or run `reverse_engineer --help`) — the CI
+// docs job keeps that listing in sync with README.md's flag table.
 //
 // Exit code 0 iff a GF(2^m) multiplier was recognized, its P(x) is
 // irreducible, and all checks passed.
@@ -30,14 +24,23 @@
 
 namespace {
 
-void usage() {
-  std::cerr
-      << "usage: reverse_engineer [--threads N] [--ports a,b,z]\n"
-      << "                        [--strategy packed|indexed|naive]\n"
-      << "                        [--library cells.lib]\n"
-      << "                        [--no-verify] [--trace BIT]\n"
-      << "                        <netlist.eqn|netlist.blif|netlist.v>\n"
-      << "       reverse_engineer --demo\n";
+void usage(std::ostream& os) {
+  os << "usage: reverse_engineer [--threads N] [--ports a,b,z]\n"
+     << "                        [--library cells.lib]\n"
+     << "                        [--no-verify] [--trace BIT]\n"
+     << "                        <netlist.eqn|netlist.blif|netlist.v>\n"
+     << "       reverse_engineer --demo\n"
+     << "       reverse_engineer --help\n"
+     << "\n"
+     << "  --threads N        extraction threads (default: hardware)\n"
+     << "  --ports a,b,z      operand/result port base names (default\n"
+     << "                     a,b,z)\n"
+     << "  --library FILE     cell library (.lib subset) resolving\n"
+     << "                     non-builtin cells\n"
+     << "  --no-verify        skip the golden-model comparison\n"
+     << "  --trace BIT        print the Algorithm-1 trace of one output bit\n"
+     << "  --demo             generate and analyze a GF(2^233) sample\n"
+     << "  --help             print this message and exit\n";
 }
 
 }  // namespace
@@ -55,16 +58,9 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--demo") {
       demo = true;
-    } else if (arg == "--naive") {
-      options.strategy = core::RewriteStrategy::NaiveScan;
-    } else if (arg == "--strategy" && i + 1 < argc) {
-      const auto strategy = core::strategy_from_name(argv[++i]);
-      if (!strategy.has_value()) {
-        std::cerr << "unknown strategy '" << argv[i] << "'\n";
-        usage();
-        return 2;
-      }
-      options.strategy = *strategy;
+    } else if (arg == "--help") {
+      usage(std::cout);
+      return 0;
     } else if (arg == "--no-verify") {
       options.verify_with_golden = false;
     } else if (arg == "--library" && i + 1 < argc) {
@@ -78,14 +74,14 @@ int main(int argc, char** argv) {
       const auto c1 = spec.find(',');
       const auto c2 = spec.find(',', c1 + 1);
       if (c1 == std::string::npos || c2 == std::string::npos) {
-        usage();
+        usage(std::cerr);
         return 2;
       }
       options.a_base = spec.substr(0, c1);
       options.b_base = spec.substr(c1 + 1, c2 - c1 - 1);
       options.z_base = spec.substr(c2 + 1);
     } else if (!arg.empty() && arg[0] == '-') {
-      usage();
+      usage(std::cerr);
       return 2;
     } else {
       path = arg;
@@ -101,7 +97,7 @@ int main(int argc, char** argv) {
                 << "over " << field.to_string() << "\n";
       netlist = gen::generate_mastrovito(field);
     } else if (path.empty()) {
-      usage();
+      usage(std::cerr);
       return 2;
     } else {
       netlist = core::load_netlist_file(path, options.library);
@@ -118,7 +114,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       core::RewriteOptions rewrite_options;
-      rewrite_options.strategy = options.strategy;
       rewrite_options.trace = &std::cout;
       std::cout << "--- Algorithm 1 trace of bit " << trace_bit << " ---\n";
       (void)core::extract_output_anf(netlist, *v, rewrite_options);

@@ -70,8 +70,8 @@ class Anf {
 
   /// Reference substitution: replaces variable v by expression e everywhere
   /// (v must not occur in e).  This is the naive whole-polynomial scan; the
-  /// core rewriter supersedes it with an occurrence-indexed version, and the
-  /// ablation bench compares the two.
+  /// core rewriter's packed engine supersedes it with an occurrence-indexed
+  /// version, and the ablation bench compares the two.
   void substitute(Var v, const Anf& e);
 
   /// True if variable v occurs in any monomial (linear scan).

@@ -92,7 +92,7 @@ struct BitsRep {
 /// 1..kSparseMaxDegree the slots) so equality and hashing are straight
 /// word-kernel operations.  Covers any cone up to kMaxSlots; degree is
 /// capped at kSparseMaxDegree (Overflow past that — the caller falls back
-/// to the legacy engine).
+/// to the textbook oracle).
 struct SparseRep {
   static constexpr RepKind kKind = RepKind::Sparse;
   static constexpr unsigned kWords = (kSparseMaxDegree + 2) / 2;

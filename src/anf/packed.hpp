@@ -67,8 +67,8 @@ const char* to_string(RepKind kind);
 inline constexpr std::size_t kMaxSlots = std::size_t{1} << 22;
 
 /// Maximum monomial degree the sparse spill representation holds inline.
-/// Exceeding it raises Overflow; the caller falls back to the legacy
-/// engine for that cone.
+/// Exceeding it raises Overflow; the caller falls back to the textbook
+/// oracle (core::RewriteStrategy::NaiveScan) for that cone.
 inline constexpr unsigned kSparseMaxDegree = 25;
 
 /// Width selection: smallest fixed-width bitset that covers the cone,
@@ -77,7 +77,7 @@ RepKind rep_for_cone(std::size_t cone_vars);
 
 /// Raised when a cone exceeds the engine's packing limits (too many cone
 /// variables for the slot space, or a monomial too wide for the sparse
-/// representation).  Callers treat it as "use the legacy backend".
+/// representation).  Callers treat it as "use the textbook oracle".
 struct Overflow : std::runtime_error {
   explicit Overflow(const std::string& what) : std::runtime_error(what) {}
 };

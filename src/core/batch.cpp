@@ -10,6 +10,7 @@
 
 #include "core/scheduler.hpp"
 #include "util/error.hpp"
+#include "util/options.hpp"
 #include "util/timer.hpp"
 
 namespace gfre::core {
@@ -144,12 +145,6 @@ std::optional<BatchJob> parse_manifest_line(const std::string& line,
         job.options.a_base = value.substr(0, c1);
         job.options.b_base = value.substr(c1 + 1, c2 - c1 - 1);
         job.options.z_base = value.substr(c2 + 1);
-      } else if (key == "strategy") {
-        const auto strategy = strategy_from_name(value);
-        if (!strategy.has_value()) {
-          throw InvalidArgument("unknown strategy '" + value + "'");
-        }
-        job.options.strategy = *strategy;
       } else if (key == "infer") {
         job.options.infer_ports = parse_bool(value);
       } else if (key == "verify") {
@@ -157,21 +152,9 @@ std::optional<BatchJob> parse_manifest_line(const std::string& line,
       } else if (key == "permute") {
         job.options.try_output_permutation = parse_bool(value);
       } else if (key == "max_terms") {
-        // stoull would silently wrap "-1" to 2^64-1, disabling the very
-        // budget the key sets.
-        if (value.empty() || value[0] == '-') {
-          throw InvalidArgument("max_terms wants a non-negative integer, "
-                                "got '" + value + "'");
-        }
-        job.options.max_terms = std::stoull(value);
+        job.options.max_terms = parse_u64(value, key);
       } else if (key == "deadline_ms") {
-        // Same wrap hazard as max_terms: "-1" must not become a 2^64-1 ms
-        // deadline (i.e. no deadline at all).
-        if (value.empty() || value[0] == '-') {
-          throw InvalidArgument("deadline_ms wants a non-negative integer, "
-                                "got '" + value + "'");
-        }
-        job.deadline_ms = std::stoull(value);
+        job.deadline_ms = parse_u64(value, key);
       } else if (key == "library") {
         // Library paths resolve like netlist paths: against the
         // manifest's directory.

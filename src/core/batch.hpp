@@ -111,18 +111,6 @@ struct BatchJobResult {
   double seconds = 0.0;
 };
 
-/// The latency-vs-throughput knob for the worker claim loop (within each
-/// priority class — class order always comes first).
-enum class SchedulingPolicy {
-  /// Default.  Maximize pool utilization: keep worker/job affinity, start
-  /// queued setups before stealing, steal from the deepest cone backlog.
-  Throughput,
-  /// Minimize time-to-first-result: finish the oldest in-flight job first
-  /// (workers converge on it, ignoring affinity), only then start new
-  /// setups.
-  Latency,
-};
-
 struct BatchOptions {
   /// Shared pool width (>= 1).
   unsigned threads = 1;
@@ -141,7 +129,6 @@ struct BatchOptions {
   /// not a lost result: the persistent disk layer (result_cache below) is
   /// consulted on every memo miss, including eviction-induced ones.
   std::size_t memo_max_entries = 4096;
-  SchedulingPolicy policy = SchedulingPolicy::Throughput;
   /// Optional persistent cross-process cache (core/result_cache.hpp).
   /// When set (and memoize is on — the disk layer sits behind the
   /// in-memory one), every in-memory miss consults the disk store before
@@ -232,11 +219,12 @@ nl::Netlist load_netlist_file(const std::string& path,
                               const std::string& library_path = {});
 
 /// Parses a batch manifest: one job per line,
-///   <netlist-path> [name=X] [ports=a,b,z] [strategy=packed|indexed|naive]
-///                  [infer=0|1] [verify=0|1] [permute=0|1] [max_terms=N]
-///                  [deadline_ms=N] [priority=high|normal|low]
-///                  [library=cells.lib]
-/// with '#' comments and blank lines ignored.  Relative paths (netlist
+///   <netlist-path> [name=X] [ports=a,b,z] [infer=0|1] [verify=0|1]
+///                  [permute=0|1] [max_terms=N] [deadline_ms=N]
+///                  [priority=high|normal|low] [library=cells.lib]
+/// with '#' comments and blank lines ignored.  N is a plain decimal
+/// (util/options.hpp parse_u64: no sign, no suffix, no overflow); an
+/// unknown or repeated key rejects the line.  Relative paths (netlist
 /// and library) resolve against the manifest's directory.  `defaults`
 /// seeds every job's options before the per-line overrides apply.  Throws
 /// ParseError on bad lines.

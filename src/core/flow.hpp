@@ -24,6 +24,9 @@ namespace gfre::core {
 
 struct FlowOptions {
   unsigned threads = 1;
+  /// Library-level only (tests, the ablation bench): no CLI, manifest key
+  /// or wire field sets it.  Hashed into every cache key by its pinned
+  /// enum value (core/rewriter.hpp).
   RewriteStrategy strategy = RewriteStrategy::Packed;
   /// Skip the golden comparison (used by benches that only time
   /// extraction, matching the paper's reported "extraction" runtimes).

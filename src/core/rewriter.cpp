@@ -1,11 +1,8 @@
 #include "core/rewriter.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <limits>
 #include <memory>
 #include <ostream>
-#include <unordered_map>
 #include <vector>
 
 #include "anf/packed.hpp"
@@ -21,111 +18,12 @@ using nl::Var;
 const char* to_string(RewriteStrategy strategy) {
   switch (strategy) {
     case RewriteStrategy::Packed: return "packed";
-    case RewriteStrategy::Indexed: return "indexed";
     case RewriteStrategy::NaiveScan: return "naive";
   }
   return "?";
 }
 
-std::optional<RewriteStrategy> strategy_from_name(std::string_view name) {
-  std::string lower(name);
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (lower == "packed") return RewriteStrategy::Packed;
-  if (lower == "indexed") return RewriteStrategy::Indexed;
-  if (lower == "naive" || lower == "naivescan") {
-    return RewriteStrategy::NaiveScan;
-  }
-  return std::nullopt;
-}
-
 namespace {
-
-/// Occurrence-indexed polynomial (the legacy "Indexed" backend's store): a
-/// stable entry table plus a variable -> (entry id, generation) handle
-/// index.  Handles are validated by generation match — stale entries are
-/// dropped lazily, and a handle is pushed exactly once per live monomial
-/// per variable, so collecting occurrences needs no copy + sort + unique
-/// of full Monomial values.
-class IndexedPoly {
- public:
-  void toggle(const Monomial& m, std::size_t* cancellations) {
-    const auto it = live_.find(m);
-    if (it != live_.end()) {
-      release(it);
-      if (cancellations != nullptr) ++(*cancellations);
-      return;
-    }
-    std::uint32_t id;
-    if (!free_.empty()) {
-      id = free_.back();
-      free_.pop_back();
-    } else {
-      id = static_cast<std::uint32_t>(entries_.size());
-      entries_.push_back(Entry{nullptr, 0});
-    }
-    const auto pos = live_.emplace(m, id).first;
-    Entry& e = entries_[id];
-    e.mono = &pos->first;  // node-stable across unordered_map rehashes
-    ++e.gen;               // dead -> live (odd)
-    for (Var v : m.vars()) index_[v].push_back(OccRef{id, e.gen});
-  }
-
-  /// Monomials currently containing v; compacts the handle bucket.
-  std::vector<Monomial> occurrences(Var v) {
-    std::vector<Monomial> hits;
-    const auto it = index_.find(v);
-    if (it == index_.end()) return hits;
-    auto& bucket = it->second;
-    std::size_t out = 0;
-    for (const OccRef& ref : bucket) {
-      if (entries_[ref.id].gen != ref.gen) continue;  // stale handle
-      hits.push_back(*entries_[ref.id].mono);
-      bucket[out++] = ref;
-    }
-    bucket.resize(out);
-    return hits;
-  }
-
-  void erase(const Monomial& m) {
-    const auto it = live_.find(m);
-    GFRE_ASSERT(it != live_.end(), "erasing absent monomial");
-    release(it);
-  }
-
-  Anf value() const {
-    Anf out;
-    out.reserve(live_.size());
-    for (const auto& [m, id] : live_) out.toggle(m);
-    return out;
-  }
-
-  std::size_t size() const { return live_.size(); }
-
- private:
-  struct Entry {
-    const Monomial* mono;  // owned by live_; only dereferenced while live
-    std::uint32_t gen;     // parity: odd = live; handles match exact gen
-  };
-  struct OccRef {
-    std::uint32_t id;
-    std::uint32_t gen;
-  };
-  using LiveMap = std::unordered_map<Monomial, std::uint32_t,
-                                     anf::MonomialHash>;
-
-  void release(LiveMap::iterator it) {
-    const std::uint32_t id = it->second;
-    ++entries_[id].gen;  // live -> dead; all outstanding handles go stale
-    free_.push_back(id);
-    live_.erase(it);
-  }
-
-  LiveMap live_;
-  std::vector<Entry> entries_;
-  std::vector<std::uint32_t> free_;
-  std::unordered_map<Var, std::vector<OccRef>> index_;
-};
 
 void trace_step(std::ostream& out, const nl::Netlist& netlist,
                 std::size_t gate_index, const Anf& f,
@@ -360,47 +258,9 @@ class PackedBackend {
   anf::packed::TermList& terms_ = lease_.scratch->terms;
 };
 
-/// Legacy occurrence-indexed backend (the ablation baseline).
-class IndexedBackend {
- public:
-  IndexedBackend(const nl::Netlist&, Var output,
-                 const std::vector<std::size_t>&) {
-    poly_.toggle(Monomial(output), nullptr);
-  }
-
-  static constexpr bool kTracksPeak = false;
-
-  bool prepare(Var v) {
-    var_ = v;
-    hits_ = poly_.occurrences(v);
-    return !hits_.empty();
-  }
-
-  void substitute(const nl::Gate& gate) {
-    const Anf expression = nl::cell_anf(gate.type, gate.inputs);
-    for (const Monomial& hit : hits_) {
-      poly_.erase(hit);
-      const Monomial rest = hit.without(var_);
-      for (const Monomial& term : expression.monomials()) {
-        poly_.toggle(rest.times(term), &cancellations_);
-      }
-    }
-  }
-
-  std::size_t size() const { return poly_.size(); }
-  std::size_t transient_peak() const { return poly_.size(); }
-  std::size_t cancellations() const { return cancellations_; }
-  Anf value() const { return poly_.value(); }
-
- private:
-  IndexedPoly poly_;
-  Var var_ = 0;
-  std::vector<Monomial> hits_;
-  std::size_t cancellations_ = 0;
-};
-
 /// Textbook whole-polynomial scan (lines 4-5 of Algorithm 1, literal
-/// reading) — kept for the ablation benchmark.
+/// reading): the differential oracle, and the engine for the rare cone
+/// that overflows the packed representation.
 class NaiveBackend {
  public:
   NaiveBackend(const nl::Netlist&, Var output,
@@ -499,8 +359,8 @@ Anf run_backward_rewriting(const nl::Netlist& netlist, Var output,
       throw DeadlineExceeded();
     }
     if (options.trace != nullptr) {
-      // Materializing value() per step costs O(|F|) for the handle-based
-      // backends, but trace_step's sorted full-polynomial print is already
+      // Materializing value() per step costs O(|F|) for the packed
+      // backend, but trace_step's sorted full-polynomial print is already
       // that order — tracing is a demonstration feature, not a hot path.
       trace_step(*options.trace, netlist, cone[idx], backend.value(),
                  backend.cancellations() - cancelled_before);
@@ -528,16 +388,11 @@ Anf extract_output_anf(const nl::Netlist& netlist, Var output,
             run_backward_rewriting<PackedBackend>(netlist, output, options,
                                                   stats);
       } catch (const anf::packed::Overflow&) {
-        // Cone beyond the packing limits (16-bit slot space or sparse
-        // degree cap): redo this cone on the legacy engine.
-        result =
-            run_backward_rewriting<IndexedBackend>(netlist, output, options,
-                                                   stats);
-      }
-      break;
-    case RewriteStrategy::Indexed:
-      result = run_backward_rewriting<IndexedBackend>(netlist, output,
+        // Cone beyond the packing limits (slot space or sparse degree
+        // cap): redo this cone on the textbook oracle.
+        result = run_backward_rewriting<NaiveBackend>(netlist, output,
                                                       options, stats);
+      }
       break;
     case RewriteStrategy::NaiveScan:
       result = run_backward_rewriting<NaiveBackend>(netlist, output, options,

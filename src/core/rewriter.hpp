@@ -7,21 +7,24 @@
 // inputs: it is the unique ANF of that output bit (Theorem 1), and by
 // Theorem 2 each output bit can be rewritten independently.
 //
-// Algorithm 1 itself is generic over a substitution backend; three are
-// provided:
-//  * Packed    — the default.  Cone variables are densely remapped to
-//                slots 0..k-1 and monomials packed as fixed-width bitsets
-//                (1/2/4 64-bit words chosen per cone, sorted-u16 spill for
-//                wider cones) in an open-addressed flat table with an
-//                occurrence index of small handles (anf/packed.hpp).  The
-//                final polynomial is converted back to the canonical
-//                anf::Anf, so everything downstream is unchanged.
-//  * Indexed   — the legacy engine: heap monomials in an unordered set
-//                plus a variable -> occurrence-handle index, making each
-//                substitution O(occurrences x |gate ANF|).  Kept as the
-//                ablation baseline.
-//  * NaiveScan — re-scans the whole polynomial per gate (the textbook
-//                reading of Algorithm 1; kept for the ablation benchmark).
+// Algorithm 1 itself is generic over a substitution backend; there is one
+// engine plus the textbook oracle:
+//  * Packed    — the engine, and the default.  Cone variables are densely
+//                remapped to slots 0..k-1 and monomials packed as
+//                fixed-width bitsets (1/2/4/8 64-bit words chosen per cone,
+//                sorted-slot spill for wider cones) in an open-addressed
+//                flat table with an occurrence index of small handles
+//                (anf/packed.hpp).  The final polynomial is converted back
+//                to the canonical anf::Anf, so everything downstream is
+//                unchanged.  A cone beyond the packing limits
+//                (anf::packed::Overflow) is redone on NaiveScan.
+//  * NaiveScan — re-scans the whole polynomial per gate: the literal
+//                reading of Algorithm 1, kept as the differential oracle.
+//                It runs under the same driver, so max_terms and the
+//                deadline checkpoint bound it too.
+// Theorem 1 makes the result unique, so the choice never changes an ANF;
+// it is a library-level knob for tests and the ablation bench, not a user
+// option.
 #pragma once
 
 #include <chrono>
@@ -29,7 +32,6 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
-#include <string_view>
 
 #include "anf/anf.hpp"
 #include "netlist/netlist.hpp"
@@ -73,17 +75,16 @@ class DeadlineExceeded : public Error {
               "abandoned at a substitution checkpoint") {}
 };
 
+/// The enumerator values are pinned: FlowOptions::strategy is hashed into
+/// every memo and disk-cache key (core/content_walk.hpp), so renumbering
+/// would orphan every existing cache entry.
 enum class RewriteStrategy {
-  Packed,
-  Indexed,
-  NaiveScan,
+  Packed = 0,
+  NaiveScan = 2,
 };
 
-/// Canonical lower-case name ("packed", "indexed", "naive").
+/// Canonical lower-case name ("packed", "naive").
 const char* to_string(RewriteStrategy strategy);
-
-/// Inverse of to_string (case-insensitive; "naivescan" also accepted).
-std::optional<RewriteStrategy> strategy_from_name(std::string_view name);
 
 /// Per-extraction statistics (drives the paper's runtime/memory columns and
 /// the Figure 4 per-bit profile).

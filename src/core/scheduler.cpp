@@ -574,17 +574,11 @@ struct BatchScheduler::Impl {
   /// Claims the next unit of work under mu_.  Finished jobs retire first
   /// (unblocks duplicates); after that, priority classes are served
   /// strictly in order — all claimable High work before any Normal before
-  /// any Low, FIFO within a class — and the BatchOptions::policy knob
-  /// picks the order WITHIN a class:
-  ///
-  ///  * Throughput (default): stay on the worker's current job (the
-  ///    netlist is cache-hot), open a new job in submission order, and
-  ///    only then steal a cone from the deepest same-class backlog — so
-  ///    only the rare steal path (own job dry AND nothing left to open)
-  ///    scans the in-flight jobs.
-  ///  * Latency: converge on the oldest in-flight job of the class
-  ///    (ignoring affinity) so it crosses the finish line soonest; open
-  ///    new jobs only when nothing of the class is extracting.
+  /// any Low, FIFO within a class.  Within a class a worker stays on its
+  /// current job (the netlist is cache-hot), opens a new job in
+  /// submission order, and only then steals a cone from the deepest
+  /// same-class backlog — so only the rare steal path (own job dry AND
+  /// nothing left to open) scans the in-flight jobs.
   Task find_work(std::size_t wid) {
     if (!finalize_ready_.empty()) {
       Job* job = finalize_ready_.back();
@@ -596,17 +590,6 @@ struct BatchScheduler::Impl {
       return task;
     }
     for (std::size_t cls = 0; cls < kPriorityClasses; ++cls) {
-      if (options_.policy == SchedulingPolicy::Latency) {
-        // extracting_ is in extraction-start order, so the first live
-        // entry of the class is the oldest.
-        for (Job* job : extracting_) {
-          if (class_of(*job) == cls && cones_available(*job) > 0) {
-            return claim_cone(job, wid);
-          }
-        }
-        if (!setup_queues_[cls].empty()) return claim_setup(cls, wid);
-        continue;
-      }
       if (last_job_[wid] != JobHandle{0}) {
         const auto it = jobs_.find(last_job_[wid]);
         if (it != jobs_.end() && class_of(*it->second) == cls &&

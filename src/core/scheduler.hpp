@@ -52,8 +52,7 @@
 //    memo or the disk cache — they describe the budget, not the netlist.
 //  - Priorities (BatchJob::priority) order every claim point — High
 //    before Normal before Low, FIFO within a class — ahead of affinity
-//    and stealing; BatchOptions::policy picks the latency-vs-throughput
-//    behavior within a class.  A cone already running is never preempted.
+//    and stealing.  A cone already running is never preempted.
 //  - cancel(handle) succeeds only for jobs that have not started running
 //    (queued, or parked behind an in-flight duplicate).  When it returns
 //    true, the job's callback has run, its future is ready with

@@ -12,7 +12,6 @@
 #include "core/batch.hpp"
 #include "core/report_json.hpp"
 #include "core/result_cache.hpp"
-#include "core/rewriter.hpp"
 #include "core/scheduler.hpp"
 #include "serve/wire.hpp"
 #include "util/error.hpp"
@@ -31,13 +30,6 @@ core::BatchJob job_from_wire(const WireObject& msg) {
   if (job.name.empty()) job.name = job.path;
 
   core::FlowOptions& opt = job.options;
-  if (const std::string strategy = get_string(msg, "strategy");
-      !strategy.empty()) {
-    const auto parsed = core::strategy_from_name(strategy);
-    if (!parsed.has_value())
-      throw Error("unknown strategy '" + strategy + "'");
-    opt.strategy = *parsed;
-  }
   if (const std::string ports = get_string(msg, "ports"); !ports.empty()) {
     const auto c1 = ports.find(',');
     const auto c2 = ports.find(',', c1 + 1);
@@ -73,7 +65,6 @@ std::string submit_message(std::uint64_t id, const core::BatchJob& job) {
   line.add("name", job.name);
   const core::FlowOptions& opt = job.options;
   line.add("ports", opt.a_base + "," + opt.b_base + "," + opt.z_base);
-  line.add("strategy", core::to_string(opt.strategy));
   line.add("infer", opt.infer_ports);
   line.add("verify", opt.verify_with_golden);
   line.add("permute", opt.try_output_permutation);

@@ -24,8 +24,8 @@
 namespace gfre::serve {
 
 /// Decodes a submit message (fields: path required; name, ports "a,b,z",
-/// strategy, infer, verify, permute, max_terms, library, deadline_ms,
-/// priority optional) into a BatchJob.  Throws gfre::Error on bad fields.  The
+/// infer, verify, permute, max_terms, library, deadline_ms, priority
+/// optional) into a BatchJob.  Throws gfre::Error on bad fields.  The
 /// inverse of submit_message; also used by the server to decode client
 /// submissions, so client -> server -> worker is one codec, not three.
 core::BatchJob job_from_wire(const WireObject& msg);

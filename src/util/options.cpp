@@ -1,7 +1,9 @@
 #include "util/options.hpp"
 
+#include <charconv>
 #include <cstdlib>
 
+#include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
 namespace gfre {
@@ -29,6 +31,24 @@ long env_long(const char* name, long fallback) {
 std::string env_string(const char* name, const std::string& fallback) {
   const char* v = std::getenv(name);
   return v == nullptr ? fallback : std::string(v);
+}
+
+std::uint64_t parse_u64(std::string_view text, std::string_view what) {
+  std::uint64_t value = 0;
+  // from_chars takes no leading whitespace and, for an unsigned type, no
+  // sign at all.
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec == std::errc::result_out_of_range) {
+    throw InvalidArgument(std::string(what) + " value '" + std::string(text) +
+                          "' is out of range (max 18446744073709551615)");
+  }
+  if (text.empty() || ec != std::errc{} || end != text.data() + text.size()) {
+    throw InvalidArgument(std::string(what) +
+                          " wants a non-negative integer, got '" +
+                          std::string(text) + "'");
+  }
+  return value;
 }
 
 }  // namespace gfre

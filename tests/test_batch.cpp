@@ -1,7 +1,7 @@
 // Differential batch-invariance suite: a mixed manifest pushed through the
-// batch engine — at 1, 2 and 8 shared workers, on the Packed and Indexed
-// backends — must produce FlowReports semantically identical to running
-// each job alone through core::reverse_engineer.  Plus memoization
+// batch engine — at 1, 2 and 8 shared workers, on the Packed engine and
+// the NaiveScan oracle — must produce FlowReports semantically identical
+// to running each job alone through core::reverse_engineer.  Plus memoization
 // semantics (same netlist twice costs one extraction), per-job failure
 // isolation, and manifest parsing.
 #include <gtest/gtest.h>
@@ -164,7 +164,7 @@ TEST_P(BatchInvariance, MatchesSequentialRunFlow) {
 INSTANTIATE_TEST_SUITE_P(
     AllConfigs, BatchInvariance,
     ::testing::Combine(::testing::Values(RewriteStrategy::Packed,
-                                         RewriteStrategy::Indexed),
+                                         RewriteStrategy::NaiveScan),
                        ::testing::Values(1u, 2u, 8u)),
     [](const ::testing::TestParamInfo<std::tuple<RewriteStrategy, unsigned>>&
            info) {
@@ -322,7 +322,7 @@ TEST(BatchManifest, ParsesJobsWithOverrides) {
     out << "# comment line\n"
         << "\n"
         << "mastrovito_m8.eqn\n"
-        << "sub/montgomery.blif strategy=indexed verify=0 name=monty\n"
+        << "sub/montgomery.blif priority=low verify=0 name=monty\n"
         << "/abs/karatsuba.v ports=x,y,p max_terms=1234 infer=1\n";
   }
   const auto jobs = parse_manifest(path);
@@ -330,7 +330,7 @@ TEST(BatchManifest, ParsesJobsWithOverrides) {
   EXPECT_EQ(jobs[0].path, dir + "/mastrovito_m8.eqn");
   EXPECT_EQ(jobs[1].path, dir + "/sub/montgomery.blif");
   EXPECT_EQ(jobs[1].name, "monty");
-  EXPECT_EQ(jobs[1].options.strategy, RewriteStrategy::Indexed);
+  EXPECT_EQ(jobs[1].priority, JobPriority::Low);
   EXPECT_FALSE(jobs[1].options.verify_with_golden);
   EXPECT_EQ(jobs[2].path, "/abs/karatsuba.v");
   EXPECT_EQ(jobs[2].options.a_base, "x");
@@ -346,7 +346,7 @@ TEST(BatchManifest, RejectsBadLinesWithLocation) {
   {
     std::ofstream out(path);
     out << "good.eqn\n"
-        << "other.eqn strategy=warp\n";
+        << "other.eqn priority=warp\n";
   }
   try {
     parse_manifest(path);
@@ -354,6 +354,21 @@ TEST(BatchManifest, RejectsBadLinesWithLocation) {
   } catch (const ParseError& e) {
     EXPECT_EQ(e.line(), 2);
     EXPECT_NE(std::string(e.what()).find("warp"), std::string::npos);
+  }
+  {
+    // The rewriting engine is not a user choice, so strategy= is an
+    // unknown key like any other.
+    std::ofstream out(path);
+    out << "good.eqn strategy=naive\n";
+  }
+  try {
+    parse_manifest(path);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 1);
+    EXPECT_NE(std::string(e.what()).find("unknown manifest key 'strategy'"),
+              std::string::npos)
+        << e.what();
   }
   std::remove(path.c_str());
   EXPECT_THROW(parse_manifest("/no/such/manifest"), Error);
@@ -394,7 +409,7 @@ TEST(BatchManifest, RejectsDuplicateKeys) {
   const std::string path = ::testing::TempDir() + "/dupkey.manifest";
   for (const char* line : {"good.eqn deadline_ms=1 deadline_ms=1000",
                            "good.eqn name=a name=b",
-                           "good.eqn strategy=packed strategy=packed"}) {
+                           "good.eqn verify=1 verify=1"}) {
     {
       std::ofstream out(path);
       out << line << "\n";
@@ -456,14 +471,13 @@ TEST(BatchManifest, SingleLineParserStreams) {
   EXPECT_FALSE(
       parse_manifest_line("  # note", 2, "m", "/base", defaults).has_value());
   const auto job =
-      parse_manifest_line("x.eqn strategy=indexed", 3, "m", "/base", defaults);
+      parse_manifest_line("x.eqn verify=0", 3, "m", "/base", defaults);
   ASSERT_TRUE(job.has_value());
   EXPECT_EQ(job->path, "/base/x.eqn");
-  EXPECT_EQ(job->options.strategy, RewriteStrategy::Indexed);
+  EXPECT_FALSE(job->options.verify_with_golden);
   EXPECT_EQ(job->options.max_terms, 77u) << "defaults must seed each line";
-  EXPECT_THROW(
-      parse_manifest_line("strategy=indexed", 4, "m", "/base", defaults),
-      ParseError);
+  EXPECT_THROW(parse_manifest_line("verify=0", 4, "m", "/base", defaults),
+               ParseError);
 }
 
 TEST(BatchManifest, ParsesDeadlineAndPriority) {
@@ -486,13 +500,26 @@ TEST(BatchManifest, ParsesDeadlineAndPriority) {
     EXPECT_EQ(to_string(j->priority), std::string(prio)) << prio;
   }
 
-  // stoull would wrap -1 into a ~585-million-year deadline.
-  EXPECT_THROW(parse_manifest_line("x.eqn deadline_ms=-1", 4, "m", "/base",
-                                   defaults),
-               ParseError);
-  EXPECT_THROW(
-      parse_manifest_line("x.eqn deadline_ms=", 5, "m", "/base", defaults),
-      ParseError);
+  // Numbers are whole plain decimals.  stoull would wrap -1 into a
+  // ~585-million-year deadline, read "1e6" as a 1-term budget and "5s"
+  // as 5 ms, and drop "abc" from "12abc"; overflow must name the key too.
+  for (const char* key : {"deadline_ms", "max_terms"}) {
+    for (const char* value : {"-1", "", "+5", "1e6", "5s", "12abc",
+                              "0x10", "18446744073709551616"}) {
+      const std::string line = std::string("x.eqn ") + key + "=" + value;
+      try {
+        parse_manifest_line(line, 4, "m", "/base", defaults);
+        FAIL() << "expected ParseError for '" << line << "'";
+      } catch (const ParseError& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  const auto big = parse_manifest_line(
+      "x.eqn max_terms=18446744073709551615", 5, "m", "/base", defaults);
+  ASSERT_TRUE(big.has_value());
+  EXPECT_EQ(big->options.max_terms, 18446744073709551615u);
   try {
     parse_manifest_line("x.eqn priority=urgent", 6, "m", "/base", defaults);
     FAIL() << "expected ParseError";
@@ -555,7 +582,7 @@ TEST(BatchManifest, RejectsSilentJobDrops) {
     // Options but no path: without an error this job would silently
     // vanish from the batch.
     std::ofstream out(path);
-    out << "name=ghost strategy=indexed\n";
+    out << "name=ghost verify=0\n";
   }
   EXPECT_THROW(parse_manifest(path), ParseError);
   {

@@ -167,14 +167,17 @@ TEST(Flow, ThreadCountsAgree) {
   }
 }
 
-TEST(Flow, NaiveStrategyAgreesWithIndexed) {
+TEST(Flow, NaiveStrategyAgreesWithPacked) {
   const gf2m::Field field(Poly{8, 4, 3, 1, 0});
   const auto netlist = gen::generate_mastrovito(field);
   FlowOptions naive;
   naive.strategy = RewriteStrategy::NaiveScan;
   const auto report = reverse_engineer(netlist, naive);
+  const auto packed = reverse_engineer(netlist, FlowOptions{});
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.recovery.p, field.modulus());
+  EXPECT_EQ(report.algorithm2_p, packed.algorithm2_p);
+  EXPECT_EQ(report.extraction.anfs, packed.extraction.anfs);
 }
 
 TEST(Flow, CustomPortBases) {

@@ -1,8 +1,9 @@
-// Differential suite for the packed cone-local ANF engine: the Packed,
-// Indexed and NaiveScan backends must produce bit-exact identical ANFs on
-// every generator family, the frozen fixtures, random netlists, and the
-// wide-cone spill path — plus unit coverage of the engine's representation
-// selection and open-addressed term table.
+// Differential suite for the packed cone-local ANF engine: the Packed
+// engine and the NaiveScan textbook oracle must produce bit-exact
+// identical ANFs on every generator family, the frozen fixtures, random
+// netlists, the wide-cone spill path and the Overflow fallback — plus unit
+// coverage of the engine's representation selection and open-addressed
+// term table.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -41,19 +42,15 @@ std::string data_path(const std::string& file) {
   return std::string(GFRE_SOURCE_DIR) + "/data/" + file;
 }
 
-/// Extracts every output with all three strategies and asserts bit-exact
-/// ANF equality (Packed vs Indexed vs NaiveScan).
+/// Extracts every output with the engine and the oracle and asserts
+/// bit-exact ANF equality (Packed vs NaiveScan).
 void expect_strategies_agree(const nl::Netlist& netlist,
                              const std::string& label) {
   for (nl::Var out : netlist.outputs()) {
-    RewriteOptions packed, indexed, naive;
+    RewriteOptions packed, naive;
     packed.strategy = RewriteStrategy::Packed;
-    indexed.strategy = RewriteStrategy::Indexed;
     naive.strategy = RewriteStrategy::NaiveScan;
     const Anf via_packed = extract_output_anf(netlist, out, packed);
-    const Anf via_indexed = extract_output_anf(netlist, out, indexed);
-    ASSERT_EQ(via_packed, via_indexed)
-        << label << " output '" << netlist.var_name(out) << "'";
     const Anf via_naive = extract_output_anf(netlist, out, naive);
     ASSERT_EQ(via_packed, via_naive)
         << label << " output '" << netlist.var_name(out) << "'";
@@ -177,7 +174,7 @@ struct FamilyCase {
 
 class PackedFamilies : public ::testing::TestWithParam<FamilyCase> {};
 
-TEST_P(PackedFamilies, AgreesWithLegacyEnginesForM4To16) {
+TEST_P(PackedFamilies, AgreesWithOracleForM4To16) {
   const FamilyCase family = GetParam();
   for (unsigned m = 4; m <= 16; ++m) {
     const gf2m::Field field(gf2::has_paper_polynomial(m)
@@ -227,7 +224,7 @@ TEST(PackedEngine, CorruptFixtureAgrees) {
 
 TEST(PackedEngine, HandwrittenAoiFixtureAgrees) {
   // Complex cells (AOI) take the generic cell_anf path in the packed
-  // backend; the fixture pins that path against the legacy engines.
+  // backend; the fixture pins that path against the oracle.
   const auto netlist =
       nl::read_eqn_file(data_path("handwritten_gf4_aoi.eqn"));
   expect_strategies_agree(netlist, "handwritten_gf4_aoi");
@@ -242,16 +239,16 @@ TEST(PackedEngine, ScrambledOutputFlowAgrees) {
   const auto scrambled = test::scramble_outputs(netlist, perm);
   expect_strategies_agree(scrambled, "scrambled mastrovito m=8");
 
-  FlowOptions packed_options, indexed_options;
+  FlowOptions packed_options, naive_options;
   packed_options.strategy = RewriteStrategy::Packed;
-  indexed_options.strategy = RewriteStrategy::Indexed;
+  naive_options.strategy = RewriteStrategy::NaiveScan;
   const auto via_packed = reverse_engineer(scrambled, packed_options);
-  const auto via_indexed = reverse_engineer(scrambled, indexed_options);
+  const auto via_naive = reverse_engineer(scrambled, naive_options);
   EXPECT_TRUE(via_packed.success);
-  EXPECT_EQ(via_packed.recovery.p, via_indexed.recovery.p);
+  EXPECT_EQ(via_packed.recovery.p, via_naive.recovery.p);
   EXPECT_EQ(via_packed.recovery.p, field.modulus());
   ASSERT_TRUE(via_packed.output_permutation.has_value());
-  EXPECT_EQ(via_packed.output_permutation, via_indexed.output_permutation);
+  EXPECT_EQ(via_packed.output_permutation, via_naive.output_permutation);
 }
 
 TEST(PackedEngine, RandomNetlistsAgree) {
@@ -284,7 +281,7 @@ nl::Netlist xor_chain(unsigned num_inputs, unsigned num_gates) {
 
 TEST(PackedSpill, WideConeUsesBits512AndAgrees) {
   // 400 gates + 8 inputs > 256 cone variables: rep_for_cone must pick the
-  // Bits512 tier, and the result must match the legacy engines.
+  // Bits512 tier, and the result must match the oracle.
   const auto netlist = xor_chain(8, 400);
   const auto cone = netlist.fanin_cone(netlist.outputs()[0]);
   EXPECT_GT(cone.size(), 256u);
@@ -295,7 +292,7 @@ TEST(PackedSpill, WideConeUsesBits512AndAgrees) {
 TEST(PackedSpill, WideConeUsesSparseRepAndAgrees) {
   // 700 gates + 8 inputs > 512 cone variables: past every bitset tier,
   // rep_for_cone must pick the sparse spill path, and the result must
-  // match the legacy engines.
+  // match the oracle.
   const auto netlist = xor_chain(8, 700);
   const auto cone = netlist.fanin_cone(netlist.outputs()[0]);
   EXPECT_GT(cone.size(), 512u);
@@ -345,19 +342,20 @@ TEST(PackedSpill, WideRandomNetlistsAgree) {
 }
 
 TEST(PackedSpill, DegreeOverflowFallsBackTransparently) {
-  // A wide cone whose final monomial degree exceeds kSparseMaxDegree: the
-  // packed engine must hand the cone to the legacy backend and still
-  // return the exact ANF.
+  // A cone past every bitset tier whose final monomial degree exceeds
+  // kSparseMaxDegree: the sparse rep raises Overflow, and the packed
+  // engine must hand the cone to the NaiveScan oracle and still return
+  // the exact ANF.  This is the only test of that fallback path.
   const unsigned n = anf::packed::kSparseMaxDegree + 5;
   nl::Netlist netlist("deep_and");
   std::vector<nl::Var> ins;
   for (unsigned i = 0; i < n; ++i) {
     ins.push_back(netlist.add_input("i" + std::to_string(i)));
   }
-  // Pad the cone past the bitset widths with a long XOR spine, then AND
+  // Pad the cone past 512 slots with a long XOR spine, then AND
   // everything together so one monomial holds all n > cap variables.
   nl::Var spine = ins[0];
-  for (unsigned g = 0; g < 300; ++g) {
+  for (unsigned g = 0; g < 700; ++g) {
     spine = netlist.add_gate(nl::CellType::Xor, {spine, ins[g % n]});
   }
   nl::Var acc = spine;
@@ -365,14 +363,19 @@ TEST(PackedSpill, DegreeOverflowFallsBackTransparently) {
     acc = netlist.add_gate(nl::CellType::And, {acc, ins[i]});
   }
   netlist.mark_output(acc);
+  // The packed backend sizes its rep from the cone plus the undriven vars
+  // (core/rewriter.cpp); that bound must land on the sparse tier, or the
+  // degree cap never applies and the fallback is never reached.
   const auto cone = netlist.fanin_cone(acc);
-  ASSERT_GT(cone.size(), 256u) << "cone must be wide enough to spill";
+  ASSERT_EQ(anf::packed::rep_for_cone(cone.size() + n), RepKind::Sparse);
 
-  RewriteOptions packed, indexed;
+  RewriteOptions packed, naive;
   packed.strategy = RewriteStrategy::Packed;
-  indexed.strategy = RewriteStrategy::Indexed;
-  EXPECT_EQ(extract_output_anf(netlist, acc, packed),
-            extract_output_anf(netlist, acc, indexed));
+  naive.strategy = RewriteStrategy::NaiveScan;
+  const Anf via_packed = extract_output_anf(netlist, acc, packed);
+  EXPECT_EQ(via_packed, extract_output_anf(netlist, acc, naive));
+  ASSERT_FALSE(via_packed.monomials().empty());
+  EXPECT_GT(via_packed.degree(), anf::packed::kSparseMaxDegree);
 }
 
 // -- Parallel extraction and strategy plumbing -----------------------------
@@ -381,24 +384,11 @@ TEST(PackedEngine, ParallelExtractionDefaultsToPackedAndAgrees) {
   const gf2m::Field field(gf2::Poly{8, 4, 3, 1, 0});
   const auto netlist = gen::generate_montgomery(field);
   const auto by_default = extract_all_outputs(netlist, 4);
-  const auto indexed =
-      extract_all_outputs(netlist, 4, RewriteStrategy::Indexed);
-  ASSERT_EQ(by_default.anfs.size(), indexed.anfs.size());
+  const auto naive =
+      extract_all_outputs(netlist, 4, RewriteStrategy::NaiveScan);
+  ASSERT_EQ(by_default.anfs.size(), naive.anfs.size());
   for (std::size_t i = 0; i < by_default.anfs.size(); ++i) {
-    EXPECT_EQ(by_default.anfs[i], indexed.anfs[i]) << "bit " << i;
-  }
-}
-
-TEST(PackedEngine, StrategyNamesRoundTrip) {
-  EXPECT_EQ(strategy_from_name("packed"), RewriteStrategy::Packed);
-  EXPECT_EQ(strategy_from_name("Indexed"), RewriteStrategy::Indexed);
-  EXPECT_EQ(strategy_from_name("NAIVE"), RewriteStrategy::NaiveScan);
-  EXPECT_EQ(strategy_from_name("naivescan"), RewriteStrategy::NaiveScan);
-  EXPECT_FALSE(strategy_from_name("bogus").has_value());
-  for (const auto strategy :
-       {RewriteStrategy::Packed, RewriteStrategy::Indexed,
-        RewriteStrategy::NaiveScan}) {
-    EXPECT_EQ(strategy_from_name(to_string(strategy)), strategy);
+    EXPECT_EQ(by_default.anfs[i], naive.anfs[i]) << "bit " << i;
   }
 }
 

@@ -236,10 +236,23 @@ TEST(ResultCache, StoreLookupRoundTripsOutcomes) {
   EXPECT_EQ(stats.stores, 2u);
 }
 
+TEST(ResultCache, DefaultKeyIsPinned) {
+  // Every disk cache in the field is keyed by this derivation.  An edit to
+  // FlowOptions, walk_report_options or the RewriteStrategy numbering that
+  // moves this literal orphans every existing entry: that needs a
+  // deliberate schema bump (docs/CACHE_FORMAT.md), not a silent change.
+  EXPECT_EQ(ResultCache::key_for_file("netlist", FlowOptions{}),
+            "be4e9f58118b61590ac64fe32781b60d79944bfe1815cae77629a62e12475969");
+  FlowOptions naive;
+  naive.strategy = RewriteStrategy::NaiveScan;
+  EXPECT_EQ(ResultCache::key_for_file("netlist", naive),
+            "ff9a7ce4063c6f0503532d2b59a316ee166d9f8997d154cb994c1d077c163a5d");
+}
+
 TEST(ResultCache, KeysSeparateContentOptionsAndDomains) {
   const FlowOptions base;
-  FlowOptions indexed = base;
-  indexed.strategy = RewriteStrategy::Indexed;
+  FlowOptions naive = base;
+  naive.strategy = RewriteStrategy::NaiveScan;
   FlowOptions budget = base;
   budget.max_terms = 1000;
   FlowOptions threads_only = base;
@@ -249,7 +262,7 @@ TEST(ResultCache, KeysSeparateContentOptionsAndDomains) {
   EXPECT_EQ(key.size(), 64u);
   EXPECT_EQ(key, ResultCache::key_for_file("netlist", base));
   EXPECT_NE(key, ResultCache::key_for_file("netlist2", base));
-  EXPECT_NE(key, ResultCache::key_for_file("netlist", indexed));
+  EXPECT_NE(key, ResultCache::key_for_file("netlist", naive));
   EXPECT_NE(key, ResultCache::key_for_file("netlist", budget));
   // Thread count never changes the report, so it must not change the key —
   // that is what makes 1T-cold / 8T-warm replay possible.

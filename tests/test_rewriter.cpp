@@ -146,20 +146,16 @@ TEST(Rewriter, Theorem1ExtractedAnfMatchesSimulation) {
   }
 }
 
-TEST(Rewriter, AllStrategiesAgree) {
+TEST(Rewriter, PackedAgreesWithNaiveOracle) {
   Prng rng(777);
   for (int round = 0; round < 10; ++round) {
     const auto netlist = test::random_netlist(rng, 6, 30, 2);
     for (nl::Var out : netlist.outputs()) {
       RewriteOptions packed;
       packed.strategy = RewriteStrategy::Packed;
-      RewriteOptions indexed;
-      indexed.strategy = RewriteStrategy::Indexed;
       RewriteOptions naive;
       naive.strategy = RewriteStrategy::NaiveScan;
       const auto via_packed = extract_output_anf(netlist, out, packed);
-      EXPECT_EQ(via_packed, extract_output_anf(netlist, out, indexed))
-          << "round " << round;
       EXPECT_EQ(via_packed, extract_output_anf(netlist, out, naive))
           << "round " << round;
     }

@@ -187,7 +187,6 @@ TEST(Wire, FdLineReaderReassemblesSplitWrites) {
 
 TEST(Wire, SubmitMessageRoundTripsTheJob) {
   core::BatchJob job = fixture_job("mastrovito_m8.eqn");
-  job.options.strategy = core::RewriteStrategy::Indexed;
   job.options.infer_ports = true;
   job.options.verify_with_golden = false;
   job.options.try_output_permutation = false;
@@ -203,7 +202,6 @@ TEST(Wire, SubmitMessageRoundTripsTheJob) {
   const core::BatchJob back = job_from_wire(msg);
   EXPECT_EQ(back.path, job.path);
   EXPECT_EQ(back.name, job.name);
-  EXPECT_EQ(back.options.strategy, job.options.strategy);
   EXPECT_EQ(back.options.infer_ports, job.options.infer_ports);
   EXPECT_EQ(back.options.verify_with_golden,
             job.options.verify_with_golden);

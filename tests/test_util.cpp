@@ -295,5 +295,21 @@ TEST(Options, EnvParsing) {
   EXPECT_GE(configured_threads(), 1u);
 }
 
+TEST(Options, ParseU64IsStrict) {
+  EXPECT_EQ(parse_u64("0", "k"), 0u);
+  EXPECT_EQ(parse_u64("007", "k"), 7u);
+  EXPECT_EQ(parse_u64("18446744073709551615", "k"), 18446744073709551615u);
+  for (const char* bad : {"", "-1", "+5", " 5", "5 ", "1e6", "5s", "12abc",
+                          "0x10", "18446744073709551616"}) {
+    try {
+      parse_u64(bad, "--max-terms");
+      FAIL() << "accepted '" << bad << "'";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("--max-terms"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gfre
