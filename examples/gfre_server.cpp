@@ -9,8 +9,9 @@
 // requeues its in-flight jobs (bounded retries, then a diagnosed
 // `worker_failed`); SIGTERM/SIGINT drains the fleet and exits cleanly.
 //
-// examples/gfre_client.cpp is the matching manifest streamer; its JSONL
-// output is diffable against a gfre_batch run of the same manifest.
+// `gfre_batch --socket` is the matching manifest streamer; its JSONL
+// output is diffable against an in-process gfre_batch run of the same
+// manifest.
 #include <unistd.h>
 
 #include <csignal>

@@ -70,16 +70,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--trace" && i + 1 < argc) {
       trace_bit = std::stol(argv[++i]);
     } else if (arg == "--ports" && i + 1 < argc) {
-      const std::string spec = argv[++i];
-      const auto c1 = spec.find(',');
-      const auto c2 = spec.find(',', c1 + 1);
-      if (c1 == std::string::npos || c2 == std::string::npos) {
+      try {
+        core::parse_port_spec(argv[++i], options);
+      } catch (const InvalidArgument& e) {
+        std::cerr << "--ports: " << e.what() << "\n";
         usage(std::cerr);
         return 2;
       }
-      options.a_base = spec.substr(0, c1);
-      options.b_base = spec.substr(c1 + 1, c2 - c1 - 1);
-      options.z_base = spec.substr(c2 + 1);
     } else if (!arg.empty() && arg[0] == '-') {
       usage(std::cerr);
       return 2;

@@ -86,6 +86,20 @@ bool parse_bool(const std::string& value) {
 
 }  // namespace
 
+void parse_port_spec(const std::string& spec, FlowOptions& options) {
+  const auto c1 = spec.find(',');
+  const auto c2 = c1 == std::string::npos ? c1 : spec.find(',', c1 + 1);
+  // 'a,b,z,extra' must not silently fold ",extra" into the z base name —
+  // that is a job analyzing the wrong port.
+  if (c2 == std::string::npos || spec.find(',', c2 + 1) != std::string::npos) {
+    throw InvalidArgument("ports wants exactly three base names a,b,z, got '" +
+                          spec + "'");
+  }
+  options.a_base = spec.substr(0, c1);
+  options.b_base = spec.substr(c1 + 1, c2 - c1 - 1);
+  options.z_base = spec.substr(c2 + 1);
+}
+
 std::optional<BatchJob> parse_manifest_line(const std::string& line,
                                             int lineno,
                                             const std::string& manifest_path,
@@ -131,20 +145,7 @@ std::optional<BatchJob> parse_manifest_line(const std::string& line,
       if (key == "name") {
         job.name = value;
       } else if (key == "ports") {
-        const auto c1 = value.find(',');
-        const auto c2 = value.find(',', c1 + 1);
-        if (c1 == std::string::npos || c2 == std::string::npos) {
-          throw InvalidArgument("want ports=a,b,z");
-        }
-        // 'ports=a,b,z,extra' must not silently fold ",extra" into the
-        // z base name — that is a job analyzing the wrong port.
-        if (value.find(',', c2 + 1) != std::string::npos) {
-          throw InvalidArgument("want exactly three ports=a,b,z, got '" +
-                                value + "'");
-        }
-        job.options.a_base = value.substr(0, c1);
-        job.options.b_base = value.substr(c1 + 1, c2 - c1 - 1);
-        job.options.z_base = value.substr(c2 + 1);
+        parse_port_spec(value, job.options);
       } else if (key == "infer") {
         job.options.infer_ports = parse_bool(value);
       } else if (key == "verify") {

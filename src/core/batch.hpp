@@ -232,9 +232,9 @@ std::vector<BatchJob> parse_manifest(const std::string& path,
                                      const FlowOptions& defaults = {});
 
 /// Parses ONE manifest line (the streaming building block parse_manifest
-/// loops over; examples/gfre_batch.cpp feeds lines straight into a
-/// BatchScheduler as they are read).  `lineno` and `manifest_path` shape
-/// ParseError locations; relative netlist paths resolve against
+/// loops over; examples/gfre_batch.cpp feeds lines straight into its local
+/// or remote backend as they are read).  `lineno` and `manifest_path`
+/// shape ParseError locations; relative netlist paths resolve against
 /// `base_dir`.  Returns nullopt for blank/comment-only lines; tolerates a
 /// trailing '\r' (CRLF manifests).
 std::optional<BatchJob> parse_manifest_line(const std::string& line,
@@ -242,5 +242,11 @@ std::optional<BatchJob> parse_manifest_line(const std::string& line,
                                             const std::string& manifest_path,
                                             const std::string& base_dir,
                                             const FlowOptions& defaults = {});
+
+/// Parses a port-base spec "a,b,z" into options.a_base/b_base/z_base — the
+/// one parser behind the manifest's ports= key, the CLIs' --ports flag and
+/// the wire's `ports` field, so all three reject alike.  Throws
+/// InvalidArgument unless `spec` holds exactly two commas.
+void parse_port_spec(const std::string& spec, FlowOptions& options);
 
 }  // namespace gfre::core

@@ -30,16 +30,8 @@ core::BatchJob job_from_wire(const WireObject& msg) {
   if (job.name.empty()) job.name = job.path;
 
   core::FlowOptions& opt = job.options;
-  if (const std::string ports = get_string(msg, "ports"); !ports.empty()) {
-    const auto c1 = ports.find(',');
-    const auto c2 = ports.find(',', c1 + 1);
-    if (c1 == std::string::npos || c2 == std::string::npos ||
-        ports.find(',', c2 + 1) != std::string::npos)
-      throw Error("ports wants exactly 'a,b,z'");
-    opt.a_base = ports.substr(0, c1);
-    opt.b_base = ports.substr(c1 + 1, c2 - c1 - 1);
-    opt.z_base = ports.substr(c2 + 1);
-  }
+  if (const std::string ports = get_string(msg, "ports"); !ports.empty())
+    core::parse_port_spec(ports, opt);
   opt.infer_ports = get_bool(msg, "infer", opt.infer_ports);
   opt.verify_with_golden = get_bool(msg, "verify", opt.verify_with_golden);
   opt.try_output_permutation =

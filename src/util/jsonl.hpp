@@ -52,7 +52,7 @@ class JsonlWriter {
 
   /// Writes an already-rendered record verbatim (plus the newline).  Used
   /// when the bytes must match another writer's output exactly — e.g.
-  /// gfre_client relaying report lines the workers rendered.
+  /// gfre_batch relaying the report lines gfre_server's workers rendered.
   void write_raw(const std::string& line);
 
   /// Flushes and closes.  Safe to call more than once.

@@ -215,6 +215,25 @@ TEST(Wire, SubmitMessageRoundTripsTheJob) {
   EXPECT_EQ(back.priority, core::JobPriority::High);
 }
 
+TEST(Wire, SubmitMessageRejectsBadPortSpecs) {
+  // The wire decoder shares the manifest's ports= parser: a spec with too
+  // few names, or a fourth name that would fold into z_base, is refused
+  // with the same message.
+  for (const char* spec : {"a,b", "a,b,z,extra"}) {
+    const WireObject msg = parse_wire_object(
+        std::string(R"({"op": "submit", "path": "x.eqn", "ports": ")") +
+        spec + "\"}");
+    try {
+      (void)job_from_wire(msg);
+      FAIL() << "expected Error for ports '" << spec << "'";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("ports wants exactly three"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Coordinator
 // ---------------------------------------------------------------------------
