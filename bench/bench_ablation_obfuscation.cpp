@@ -5,7 +5,9 @@
 // cache) and reports, per matrix cell:
 //   * recovery rate   — fraction of seeds whose attack recovers the true
 //                       P(x) (for wrong-key cells: should be 0);
-//   * wall time       — mean attack extraction seconds;
+//   * wall time       — mean attack extraction seconds, over the attacks
+//                       that extracted (`timed`); a memo hit replays another
+//                       job's time, so it is left out;
 //   * budget blowup   — geomean of peak_terms / clean_peak_terms, the
 //                       pressure the defense puts on the max_terms budget.
 //
@@ -51,6 +53,7 @@ struct Cell {
   unsigned seeds = 0;
   unsigned recovered = 0;
   unsigned corrupts = 0;   // wrong-key simulations that changed outputs
+  unsigned timed = 0;      // attacks that extracted (not memo hits)
   double seconds_sum = 0.0;
   double log_blowup_sum = 0.0;
   unsigned blowup_samples = 0;
@@ -60,7 +63,7 @@ struct Cell {
     return seeds == 0 ? 0.0 : static_cast<double>(recovered) / seeds;
   }
   double mean_seconds() const {
-    return seeds == 0 ? 0.0 : seconds_sum / seeds;
+    return timed == 0 ? 0.0 : seconds_sum / timed;
   }
   double geomean_blowup() const {
     return blowup_samples == 0
@@ -149,7 +152,10 @@ int main() {
     ++cell.seeds;
     if (outcome.recovered) ++cell.recovered;
     if (outcome.corrupts.value_or(false)) ++cell.corrupts;
-    cell.seconds_sum += outcome.seconds;
+    if (!outcome.cache_hit) {
+      ++cell.timed;
+      cell.seconds_sum += outcome.seconds;
+    }
     if (outcome.blowup > 0.0) {
       cell.log_blowup_sum += std::log(outcome.blowup);
       ++cell.blowup_samples;
@@ -175,10 +181,11 @@ int main() {
         .add("key_mode", cell.key_mode)
         .add("seeds", cell.seeds)
         .add("recovery_rate", cell.recovery_rate())
-        .add("corrupt_rate",
+        .add("wrong_key_corrupt_rate",
              cell.seeds == 0
                  ? 0.0
                  : static_cast<double>(cell.corrupts) / cell.seeds)
+        .add("timed", cell.timed)
         .add("mean_seconds", cell.mean_seconds())
         .add("blowup_geomean", cell.geomean_blowup())
         .add("peak_terms_max", cell.peak_terms_max)

@@ -33,11 +33,13 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "bench_json.hpp"
 #include "core/batch.hpp"
+#include "core/parallel_extract.hpp"
 #include "core/result_cache.hpp"
 #include "core/scheduler.hpp"
 #include "serve/coordinator.hpp"
@@ -47,7 +49,7 @@
 #include "gen/shift_add.hpp"
 #include "gf2poly/irreducible.hpp"
 #include "netlist/io_eqn.hpp"
-#include "util/thread_pool.hpp"
+#include "util/error.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -121,6 +123,25 @@ bool same_outcome(const core::FlowReport& got, const core::FlowReport& want) {
          got.recovery.circuit_class == want.recovery.circuit_class;
 }
 
+/// The pre-batch-engine flow: port resolution, single-threaded extraction
+/// and analysis composed on the caller's thread, with no scheduler.  It is
+/// the sequential baseline every batch mode's speedup is measured against.
+core::FlowReport sequential_flow(const nl::Netlist& netlist,
+                                 const core::FlowOptions& options) {
+  core::FlowReport report;
+  const auto ports = core::resolve_flow_ports(netlist, options, &report);
+  if (!ports.has_value()) return report;
+  try {
+    return core::analyze_extraction(
+        netlist, *ports,
+        core::extract_outputs(netlist, ports->z.bits, 1, options.strategy,
+                              options.max_terms),
+        options);
+  } catch (const Error& e) {
+    return core::extraction_failure_report(netlist, *ports, e.what());
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -167,16 +188,14 @@ int main() {
   GFRE_ASSERT(jobs.size() == 100, "expected the 100-job manifest, got "
                                       << jobs.size());
 
-  // (a) Sequential baseline: the pre-batch world — one load + run_flow at
-  // a time, single-threaded extraction.
+  // (a) Sequential baseline: the pre-batch world — one load + flow at a
+  // time, single-threaded extraction on this thread.
   std::vector<core::FlowReport> baseline;
   baseline.reserve(jobs.size());
   Timer seq_timer;
   for (const auto& job : jobs) {
     const auto netlist = core::load_netlist_file(job.path);
-    core::FlowOptions options = job.options;
-    options.threads = 1;
-    baseline.push_back(core::reverse_engineer(netlist, options));
+    baseline.push_back(sequential_flow(netlist, job.options));
   }
   const double seq_wall = seq_timer.seconds();
   const double seq_rate = static_cast<double>(jobs.size()) / seq_wall;
@@ -196,13 +215,11 @@ int main() {
   bool outcomes_match = true;
   double batch4_rate = 0;
   double batch_rate_at_cache_width = 0;
-  const unsigned cache_width =
-      std::min(4u, std::max(1u, static_cast<unsigned>(
-                                    ThreadPool::default_threads())));
+  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+  const unsigned cache_width = std::min(4u, hw);
   TextTable table({"workers", "wall(s)", "jobs/s", "speedup vs seq",
                    "cones", "steals"});
   std::vector<unsigned> widths = {1u, 2u, 4u};
-  const unsigned hw = static_cast<unsigned>(ThreadPool::default_threads());
   if (hw > 4) widths.push_back(hw);
   for (unsigned threads : widths) {
     core::BatchOptions options;

@@ -66,7 +66,20 @@ int main(int argc, char** argv) {
     } else if (arg == "--library" && i + 1 < argc) {
       options.library = argv[++i];
     } else if (arg == "--threads" && i + 1 < argc) {
-      options.threads = static_cast<unsigned>(std::stoul(argv[++i]));
+      // Every flow runs on scheduler workers, so the count must be sane
+      // before any thread is started; same bounds as gfre_batch.
+      std::uint64_t n = 0;
+      try {
+        n = parse_u64(argv[++i], "--threads");
+      } catch (const InvalidArgument& e) {
+        std::cerr << "bad argument: " << e.what() << "\n";
+        return 2;
+      }
+      if (n == 0 || n > 4096) {
+        std::cerr << "--threads wants 1..4096\n";
+        return 2;
+      }
+      options.threads = static_cast<unsigned>(n);
     } else if (arg == "--trace" && i + 1 < argc) {
       trace_bit = std::stol(argv[++i]);
     } else if (arg == "--ports" && i + 1 < argc) {

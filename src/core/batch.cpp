@@ -65,11 +65,33 @@ BatchReport run_batch(std::vector<BatchJob> jobs,
     out.stats = scheduler.stats();
   }
   out.results.reserve(futures.size());
-  // get() rethrows only for engine bugs (per-job failures are results) —
-  // the same surface the old in-place scheduler exposed via parallel_for.
+  // get() rethrows only for engine bugs (per-job failures are results).
   for (auto& future : futures) out.results.push_back(future.get());
   out.wall_seconds = clock.seconds();
   return out;
+}
+
+// The standalone flow is a one-job batch on a private scheduler whose
+// workers are the call's extraction threads.  The job borrows the caller's
+// netlist through a non-owning pointer: the call blocks until the job
+// resolves, so the reference outlives every use the workers make of it.
+FlowReport reverse_engineer(const nl::Netlist& netlist,
+                            const FlowOptions& options) {
+  if (options.threads < 1) {
+    throw InvalidArgument("FlowOptions::threads must be at least 1");
+  }
+  Timer total;
+  BatchOptions batch;
+  batch.threads = options.threads;
+  batch.memoize = false;
+  BatchJob job;
+  job.netlist = std::shared_ptr<const nl::Netlist>(
+      std::shared_ptr<const nl::Netlist>(), &netlist);
+  job.options = options;
+  BatchScheduler scheduler(batch);
+  FlowReport report = scheduler.submit(std::move(job)).result.get().report;
+  report.total_seconds = total.seconds();
+  return report;
 }
 
 // ---------------------------------------------------------------------------

@@ -23,13 +23,10 @@
 // `run_batch` below is the submit-all-then-wait entry point; it is a thin
 // wrapper over the long-lived core::BatchScheduler (core/scheduler.hpp),
 // which additionally offers incremental submission, per-job futures,
-// completion callbacks and cancellation.
-//
-// Every job's FlowReport is identical to what a standalone
-// core::reverse_engineer of the same input would produce (timing/RSS fields
-// aside): both entry points share resolve_flow_ports / analyze_extraction /
-// extraction_failure_report, which tests/test_batch.cpp and
-// tests/test_scheduler.cpp enforce differentially.
+// completion callbacks and cancellation.  core::reverse_engineer is the
+// other thin wrapper: one in-memory job on a private scheduler.  So a job's
+// FlowReport is the same whether it runs alone or in a batch (timing/RSS
+// fields aside) because both run the one scheduler path.
 #pragma once
 
 #include <cstdint>
@@ -69,9 +66,12 @@ std::optional<JobPriority> priority_from_name(std::string_view name);
 /// in-memory netlist (which takes precedence), plus per-job flow options.
 /// FlowOptions::threads is ignored — parallelism belongs to the batch pool.
 struct BatchJob {
-  std::string name;                    ///< label; defaulted from path/netlist
-  std::string path;                    ///< file-backed job
-  std::optional<nl::Netlist> netlist;  ///< in-memory job
+  std::string name;  ///< label; defaulted from path/netlist
+  std::string path;  ///< file-backed job
+  /// In-memory job.  Shared, so the scheduler reads the caller's netlist
+  /// without copying it; the scheduler drops its reference once the job
+  /// resolves.
+  std::shared_ptr<const nl::Netlist> netlist;
   FlowOptions options;
   /// Wall-clock budget from submission to resolution, in milliseconds;
   /// 0 = no deadline.  A job past its deadline while still queued is

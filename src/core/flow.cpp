@@ -6,8 +6,6 @@
 #include "core/product_counts.hpp"
 #include "gf2poly/irreducible.hpp"
 #include "util/error.hpp"
-#include "util/rss.hpp"
-#include "util/timer.hpp"
 
 namespace gfre::core {
 
@@ -170,34 +168,6 @@ FlowReport analyze_extraction(const nl::Netlist& netlist,
       report.recovery.circuit_class != CircuitClass::NotAMultiplier &&
       report.recovery.p_is_irreducible && report.recovery.rows_consistent &&
       (!options.verify_with_golden || report.verification.equivalent);
-  return report;
-}
-
-FlowReport reverse_engineer(const nl::Netlist& netlist,
-                            const FlowOptions& options) {
-  Timer total;
-  FlowReport report;
-
-  const auto ports = resolve_flow_ports(netlist, options, &report);
-  if (!ports.has_value()) {
-    report.total_seconds = total.seconds();
-    return report;
-  }
-
-  // Phase 1: parallel backward rewriting (Algorithms 1 + Theorem 2).
-  try {
-    report = analyze_extraction(
-        netlist, *ports,
-        extract_outputs(netlist, ports->z.bits, options.threads,
-                        options.strategy, options.max_terms),
-        options);
-  } catch (const Error& e) {
-    report = extraction_failure_report(netlist, *ports, e.what());
-  }
-
-  report.total_seconds = total.seconds();
-  report.rss_peak_bytes = peak_rss_bytes();
-  report.rss_after_bytes = current_rss_bytes();
   return report;
 }
 

@@ -96,7 +96,11 @@ struct FlowReport {
   std::string summary() const;
 };
 
-/// Runs the full flow on a multiplier netlist.
+/// Runs the full flow on a multiplier netlist: one in-memory job submitted
+/// to a private core::BatchScheduler with `options.threads` workers and no
+/// memoization, waited on, and returned with total_seconds set (defined in
+/// core/batch.cpp next to run_batch).  Throws InvalidArgument when
+/// `options.threads` is 0.
 ///
 /// Thread safety: reentrant — concurrent calls on distinct (or even the
 /// same, never-mutated) netlists are safe; all parallelism is internal
@@ -104,21 +108,18 @@ struct FlowReport {
 /// The returned FlowReport is a self-contained value: serialize it with
 /// core/report_io.hpp, persist it with core/result_cache.hpp.  For many
 /// netlists prefer core::run_batch / core::BatchScheduler, which share
-/// one pool across jobs and reproduce this function's reports bit for
-/// bit.
+/// one set of workers across jobs.
 FlowReport reverse_engineer(const nl::Netlist& netlist,
                             const FlowOptions& options = {});
 
 // ---------------------------------------------------------------------------
-// Flow phases.  reverse_engineer composes these; the batch engine
-// (core/batch.hpp) drives the same phases itself so that a job executed at
-// cone granularity on a shared pool lands on a report identical to a
-// standalone run.
+// Flow phases.  The batch scheduler (core/scheduler.cpp) drives these around
+// its per-cone extraction tasks.
 // ---------------------------------------------------------------------------
 
 /// Resolves the multiplier interface (named ports or inference).  On
 /// failure returns nullopt and fills `failure` with the diagnosed
-/// success=false report — both entry points fail with the same words.
+/// success=false report.
 std::optional<nl::MultiplierPorts> resolve_flow_ports(
     const nl::Netlist& netlist, const FlowOptions& options,
     FlowReport* failure);
@@ -132,7 +133,7 @@ FlowReport analyze_extraction(const nl::Netlist& netlist,
                               const FlowOptions& options);
 
 /// The diagnosed failure report for an extraction that threw (term budget,
-/// invariant violation): shared so standalone and batch runs agree.
+/// deadline, invariant violation).
 FlowReport extraction_failure_report(const nl::Netlist& netlist,
                                      const nl::MultiplierPorts& ports,
                                      const std::string& what);

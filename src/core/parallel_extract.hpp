@@ -1,6 +1,11 @@
 // Theorem-2 parallel extraction: every output bit's backward rewriting is
 // independent (cancellations never cross logic cones), so the m extractions
-// run on a thread pool — the paper's "reverse engineer ... in n threads".
+// run in n threads — the paper's "reverse engineer ... in n threads".
+//
+// extract_outputs is the bare extraction for callers that time or inspect
+// Algorithm 1 alone (benches, tests).  The flow itself does not call it:
+// reverse_engineer and the batch engine both run each cone as a
+// core::BatchScheduler task (core/scheduler.hpp).
 #pragma once
 
 #include <cstdint>
@@ -27,8 +32,10 @@ struct ExtractionResult {
 
 /// Extracts the ANFs of the given output nets in parallel.  `max_terms`
 /// bounds the live-monomial count of each bit's rewriting (0 = unlimited);
-/// when any bit exceeds it, the whole extraction throws TermBudgetExceeded
-/// after the in-flight bits have drained.
+/// when any bit exceeds it, the whole extraction throws TermBudgetExceeded.
+/// With threads > 1 every bit still runs to completion first, and the
+/// exception rethrown is the lowest-index bit's — the one threads == 1
+/// stops at — so the message does not depend on the thread count.
 ExtractionResult extract_outputs(const nl::Netlist& netlist,
                                  const std::vector<nl::Var>& outputs,
                                  unsigned threads,

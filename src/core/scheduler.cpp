@@ -176,10 +176,9 @@ struct BatchScheduler::Impl {
       Done,
     } state = State::Queued;
 
-    // Setup products.  `net` points at spec.netlist (in-memory job) or at
-    // `loaded` (file job); released on completion to bound live memory.
-    std::optional<nl::Netlist> loaded;
-    const nl::Netlist* net = nullptr;
+    // Setup products.  `net` shares spec.netlist (in-memory job) or owns
+    // the parsed file (file job); released on delivery to bound live memory.
+    std::shared_ptr<const nl::Netlist> net;
     std::optional<nl::MultiplierPorts> ports;
     ExtractionResult extraction;
     double extract_started = 0.0;
@@ -187,10 +186,9 @@ struct BatchScheduler::Impl {
     std::size_t cones_claimed = 0;
     std::size_t cones_done = 0;
     /// Lowest-index cone failure.  Lowest index — not first to complete —
-    /// because that is what both standalone paths deterministically report
-    /// (the sequential loop stops at the first throwing bit; parallel_for
-    /// rethrows the lowest-index exception), and scheduler reports must be
-    /// identical under any interleaving.
+    /// because a single worker claims cones in order and stops at the
+    /// first throwing one, and reports must be identical at any worker
+    /// count and under any interleaving.
     std::exception_ptr abort;
     std::size_t abort_cone = 0;
 
@@ -619,7 +617,7 @@ struct BatchScheduler::Impl {
     // report under the wrong hash — and duplicates dedup before paying
     // for a parse.
     std::string text;
-    if (!job.spec.netlist.has_value()) {
+    if (!job.spec.netlist) {
       try {
         text = read_file_bytes(job.spec.path);
       } catch (const Error& e) {
@@ -631,7 +629,7 @@ struct BatchScheduler::Impl {
     // parsed, so a library cannot change them) is read up front: its
     // BYTES belong in both cache keys, exactly like the netlist bytes.
     const bool want_library =
-        !job.spec.netlist.has_value() && !job.spec.options.library.empty();
+        !job.spec.netlist && !job.spec.options.library.empty();
     std::string library_text;
     if (want_library &&
         !util::read_file_to_string(job.spec.options.library,
@@ -645,7 +643,7 @@ struct BatchScheduler::Impl {
 
     if (options_.memoize) {
       Mixer mix;
-      if (job.spec.netlist.has_value()) {
+      if (job.spec.netlist) {
         walk_netlist_content(mix, *job.spec.netlist);
         mix.u64(1);  // domain tag: structural
       } else {
@@ -689,7 +687,7 @@ struct BatchScheduler::Impl {
       // zero extractions.
       if (options_.result_cache) {
         job.disk_key =
-            job.spec.netlist.has_value()
+            job.spec.netlist
                 ? ResultCache::key_for_netlist(*job.spec.netlist,
                                                job.spec.options)
                 : ResultCache::key_for_file(text, job.spec.options,
@@ -711,18 +709,17 @@ struct BatchScheduler::Impl {
     }
 
     try {
-      if (!job.spec.netlist.has_value()) {
+      if (job.spec.netlist) {
+        job.net = job.spec.netlist;
+      } else {
         std::shared_ptr<const frontend::CellLibrary> library;
         if (want_library) {
           library = std::make_shared<const frontend::CellLibrary>(
               frontend::parse_cell_library(library_text,
                                            job.spec.options.library));
         }
-        job.loaded =
-            parse_netlist_text(text, job.spec.path, std::move(library));
-        job.net = &*job.loaded;
-      } else {
-        job.net = &*job.spec.netlist;
+        job.net = std::make_shared<const nl::Netlist>(
+            parse_netlist_text(text, job.spec.path, std::move(library)));
       }
     } catch (const Error& e) {
       // Parse failures after inflight registration still resolve any
@@ -821,8 +818,8 @@ struct BatchScheduler::Impl {
       for (const auto& stats : job.extraction.per_bit) {
         job.extraction.total_peak_terms += stats.peak_terms;
       }
-      // Same guard reverse_engineer wraps around this call: an analysis
-      // Error is this job's diagnosed failure, never a dead worker.
+      // An analysis Error is this job's diagnosed failure, never a dead
+      // worker.
       try {
         report = analyze_extraction(*job.net, *job.ports,
                                     std::move(job.extraction),
@@ -1014,7 +1011,6 @@ struct BatchScheduler::Impl {
       done.push_back(dup);
     }
     job.followers.clear();
-    job.net = nullptr;
   }
 
   /// Frees finished jobs' netlists, then runs callbacks and fulfills
@@ -1026,7 +1022,7 @@ struct BatchScheduler::Impl {
     // it stalls no other worker's claims, and it still ends before the
     // callback, so a closed-loop submitter never holds two live netlists.
     for (Job* job : done) {
-      job->loaded.reset();
+      job->net.reset();
       job->spec.netlist.reset();
     }
     for (Job* job : done) {

@@ -70,11 +70,11 @@
 // rule, teardown is graceful: submissions arriving from completion
 // callbacks while the destructor drains resolve as cancelled.
 //
-// Reports are bit-identical to standalone core::reverse_engineer — the
-// scheduler drives the same flow phases, and tests/test_scheduler.cpp
-// enforces the equivalence differentially (tests/test_batch.cpp does the
-// same for the run_batch wrapper, which is now a thin shim over this
-// class).
+// This class is the one execution path of the flow: core::run_batch and
+// core::reverse_engineer are thin wrappers that submit to a private
+// scheduler and wait (core/batch.cpp).  tests/test_scheduler.cpp and
+// tests/test_batch.cpp check that a job's report does not depend on
+// worker count, batch neighbours or caching.
 #pragma once
 
 #include <chrono>

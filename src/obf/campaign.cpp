@@ -132,14 +132,14 @@ CampaignReport run_campaign(const std::vector<Scenario>& scenarios,
   for (const PreparedScenario& p : prepared) {
     core::BatchJob attack;
     attack.name = p.scenario.name;
-    attack.netlist = p.attack;
+    attack.netlist = std::make_shared<const nl::Netlist>(p.attack);
     attack.options = flow;
     jobs.push_back(std::move(attack));
     if (options.measure_clean) {
       core::BatchJob clean;
       clean.name = p.scenario.family + "_m" + std::to_string(p.scenario.m) +
                    "_clean";
-      clean.netlist = p.clean;
+      clean.netlist = std::make_shared<const nl::Netlist>(p.clean);
       clean.options = flow;
       jobs.push_back(std::move(clean));
     }

@@ -317,7 +317,7 @@ struct Coordinator::Impl {
   // -- submission -----------------------------------------------------------
 
   std::uint64_t submit_impl(core::BatchJob job, Callback cb, bool blocking) {
-    if (job.netlist.has_value())
+    if (job.netlist)
       throw InvalidArgument(
           "serve: in-memory netlists cannot cross the process boundary");
     if (job.name.empty()) job.name = job.path;

@@ -3,7 +3,7 @@
 // The coordinator (serve/coordinator.hpp) forks N of these, each holding
 // one end of a socketpair.  worker_main() is the child's entire life: read
 // job lines off the socket, run them through a private BatchScheduler
-// (its own thread pool, its own in-memory memo) against the SHARED
+// (its own worker threads, its own in-memory memo) against the SHARED
 // on-disk ResultCache directory, and write one result event line back per
 // job.  Process isolation is the point: a worker that segfaults, OOMs or
 // is killed takes only its in-flight jobs with it, and the coordinator

@@ -1,10 +1,11 @@
 #include "util/options.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
+#include <thread>
 
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace gfre {
 
@@ -16,7 +17,7 @@ bool full_scale_requested() {
 std::size_t configured_threads() {
   const long n = env_long("GFRE_THREADS", 0);
   if (n > 0) return static_cast<std::size_t>(n);
-  return ThreadPool::default_threads();
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 long env_long(const char* name, long fallback) {

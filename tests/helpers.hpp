@@ -8,10 +8,14 @@
 #include <vector>
 
 #include "core/flow.hpp"
+#include "core/parallel_extract.hpp"
 #include "netlist/cell.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/simulator.hpp"
+#include "util/error.hpp"
 #include "util/prng.hpp"
+#include "util/rss.hpp"
+#include "util/timer.hpp"
 
 namespace gfre::test {
 
@@ -57,6 +61,33 @@ inline void expect_reports_equal(const core::FlowReport& got,
     EXPECT_EQ(g.peak_terms, w.peak_terms) << label << " bit " << i;
     EXPECT_EQ(g.final_terms, w.final_terms) << label << " bit " << i;
   }
+}
+
+/// The flow as a plain sequential composition of its phases on the
+/// caller's thread — port resolution, extraction, analysis — with no
+/// scheduler involved.  The differential suites use it as the standalone
+/// ground truth that core::reverse_engineer and the batch engine (both
+/// scheduler submissions) must reproduce.
+inline core::FlowReport sequential_flow(const nl::Netlist& netlist,
+                                        const core::FlowOptions& options) {
+  Timer total;
+  core::FlowReport report;
+  const auto ports = core::resolve_flow_ports(netlist, options, &report);
+  if (ports.has_value()) {
+    try {
+      report = core::analyze_extraction(
+          netlist, *ports,
+          core::extract_outputs(netlist, ports->z.bits, 1, options.strategy,
+                                options.max_terms),
+          options);
+    } catch (const Error& e) {
+      report = core::extraction_failure_report(netlist, *ports, e.what());
+    }
+    report.rss_peak_bytes = peak_rss_bytes();
+    report.rss_after_bytes = current_rss_bytes();
+  }
+  report.total_seconds = total.seconds();
+  return report;
 }
 
 /// Builds a random combinational DAG over `num_inputs` inputs with

@@ -47,7 +47,7 @@ std::vector<BatchJob> mixed_manifest(RewriteStrategy strategy) {
   const auto add_memory = [&](std::string name, nl::Netlist netlist) {
     BatchJob job;
     job.name = std::move(name);
-    job.netlist = std::move(netlist);
+    job.netlist = std::make_shared<const nl::Netlist>(std::move(netlist));
     job.options.strategy = strategy;
     jobs.push_back(std::move(job));
   };
@@ -99,11 +99,11 @@ std::vector<BatchJob> mixed_manifest(RewriteStrategy strategy) {
   return jobs;
 }
 
-/// Standalone baseline for one job (the sequential `run_flow` ground
-/// truth); nullopt for jobs that cannot load.
+/// Standalone baseline for one job (the scheduler-free sequential flow,
+/// test::sequential_flow); nullopt for jobs that cannot load.
 std::optional<FlowReport> baseline_report(const BatchJob& job) {
   nl::Netlist netlist("x");
-  if (job.netlist.has_value()) {
+  if (job.netlist) {
     netlist = *job.netlist;
   } else {
     try {
@@ -112,9 +112,7 @@ std::optional<FlowReport> baseline_report(const BatchJob& job) {
       return std::nullopt;
     }
   }
-  FlowOptions options = job.options;
-  options.threads = 1;
-  return reverse_engineer(netlist, options);
+  return test::sequential_flow(netlist, job.options);
 }
 
 class BatchInvariance
@@ -201,9 +199,9 @@ TEST(BatchCache, IdenticalInMemoryNetlistsDedup) {
   const auto netlist = gen::generate_montgomery(field);
   std::vector<BatchJob> jobs(2);
   jobs[0].name = "first";
-  jobs[0].netlist = netlist;
+  jobs[0].netlist = std::make_shared<const nl::Netlist>(netlist);
   jobs[1].name = "second";
-  jobs[1].netlist = netlist;
+  jobs[1].netlist = std::make_shared<const nl::Netlist>(netlist);
 
   BatchOptions options;
   options.threads = 2;
@@ -253,10 +251,12 @@ TEST(BatchIsolation, TermBudgetBlowupFailsOnlyThatJob) {
   const gf2m::Field field(Poly{8, 4, 3, 1, 0});
   std::vector<BatchJob> jobs(2);
   jobs[0].name = "strangled";
-  jobs[0].netlist = gen::generate_mastrovito(field);
+  jobs[0].netlist =
+      std::make_shared<const nl::Netlist>(gen::generate_mastrovito(field));
   jobs[0].options.max_terms = 3;
   jobs[1].name = "healthy";
-  jobs[1].netlist = gen::generate_mastrovito(field);
+  jobs[1].netlist =
+      std::make_shared<const nl::Netlist>(gen::generate_mastrovito(field));
 
   BatchOptions options;
   options.threads = 2;

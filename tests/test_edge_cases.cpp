@@ -6,12 +6,10 @@
 #include "core/flow.hpp"
 #include "core/parallel_extract.hpp"
 #include "core/rewriter.hpp"
-#include "core/squarer.hpp"
 #include "gen/karatsuba.hpp"
 #include "gen/mastrovito.hpp"
 #include "gen/montgomery_gate.hpp"
 #include "gen/shift_add.hpp"
-#include "gen/squarer.hpp"
 #include "gf2m/field.hpp"
 #include "netlist/io_eqn.hpp"
 #include "sim/simulator.hpp"
@@ -122,16 +120,6 @@ TEST(EdgeMinimumField, AllGeneratorsAtM2) {
                                 << report.summary();
     EXPECT_EQ(report.recovery.p, (Poly{2, 1, 0})) << netlist.name();
   }
-}
-
-TEST(EdgeMinimumField, SquarerAtM2) {
-  const gf2m::Field field(Poly{2, 1, 0});
-  const auto netlist = gen::generate_squarer(field);
-  const auto a = *nl::find_word_port(netlist, "a");
-  const auto extraction = core::extract_all_outputs(netlist, 1);
-  const auto recovery = core::recover_squarer(extraction.anfs, a);
-  EXPECT_TRUE(recovery.recognized) << recovery.diagnosis;
-  EXPECT_EQ(recovery.p, (Poly{2, 1, 0}));
 }
 
 // --- ANF / variable-id extremes --------------------------------------------

@@ -1,5 +1,5 @@
 // Tests for the capabilities beyond the paper's scope: port inference,
-// scrambled-output recovery, squarer P(x) recovery, and the known-P(x)
+// scrambled-output recovery, the squarer generator, and the known-P(x)
 // verification API.
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "core/parallel_extract.hpp"
 #include "core/permutation.hpp"
 #include "core/poly_extract.hpp"
-#include "core/squarer.hpp"
 #include "core/verify.hpp"
 #include "gen/mastrovito.hpp"
 #include "gen/squarer.hpp"
@@ -160,17 +159,6 @@ TEST_P(SquarerSweep, GeneratedSquarerMatchesField) {
   }
 }
 
-TEST_P(SquarerSweep, RecoversPolynomialFromNetlist) {
-  const gf2m::Field field(GetParam());
-  const auto netlist = gen::generate_squarer(field);
-  const auto a = *nl::find_word_port(netlist, "a");
-  const auto extraction = extract_all_outputs(netlist, 2);
-  const auto recovery = recover_squarer(extraction.anfs, a);
-  EXPECT_TRUE(recovery.recognized) << recovery.diagnosis;
-  EXPECT_EQ(recovery.p, field.modulus());
-  EXPECT_TRUE(recovery.p_is_irreducible);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Moduli, SquarerSweep,
     ::testing::Values(Poly{2, 1, 0}, Poly{3, 1, 0}, Poly{4, 1, 0},
@@ -181,44 +169,6 @@ INSTANTIATE_TEST_SUITE_P(
       return "deg" + std::to_string(info.param.degree()) + "_idx" +
              std::to_string(info.index);
     });
-
-TEST(Squarer, EveryIrreducibleDegree2To8) {
-  // Both parity branches of the odd-m reconstruction get exercised.
-  for (unsigned m = 2; m <= 8; ++m) {
-    for (const Poly& p : gf2::all_irreducible(m)) {
-      const gf2m::Field field(p);
-      const auto netlist = gen::generate_squarer(field);
-      const auto a = *nl::find_word_port(netlist, "a");
-      const auto extraction = extract_all_outputs(netlist, 1);
-      const auto recovery = recover_squarer(extraction.anfs, a);
-      EXPECT_TRUE(recovery.recognized)
-          << p.to_string() << ": " << recovery.diagnosis;
-      EXPECT_EQ(recovery.p, p);
-    }
-  }
-}
-
-TEST(Squarer, RejectsMultiplier) {
-  const gf2m::Field field(Poly{4, 1, 0});
-  const auto netlist = gen::generate_mastrovito(field);
-  const auto ports = nl::multiplier_ports(netlist);
-  const auto extraction = extract_outputs(netlist, ports.z.bits, 1);
-  const auto recovery = recover_squarer(extraction.anfs, ports.a);
-  EXPECT_FALSE(recovery.recognized);
-  EXPECT_NE(recovery.diagnosis.find("not linear"), std::string::npos);
-}
-
-TEST(Squarer, RejectsCorruptedRows) {
-  // Flip one tap in the squarer: linear but inconsistent.
-  const gf2m::Field field(Poly{8, 4, 3, 1, 0});
-  const auto netlist = gen::generate_squarer(field);
-  const auto a = *nl::find_word_port(netlist, "a");
-  auto extraction = extract_all_outputs(netlist, 1);
-  // Add a bogus linear term to output 5.
-  extraction.anfs[5].toggle(anf::Monomial(a.bits[0]));
-  const auto recovery = recover_squarer(extraction.anfs, a);
-  EXPECT_FALSE(recovery.recognized);
-}
 
 TEST(Squarer, SquarerIsPureXorNetwork) {
   const gf2m::Field field(Poly{16, 5, 3, 1, 0});

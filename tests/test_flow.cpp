@@ -167,6 +167,14 @@ TEST(Flow, ThreadCountsAgree) {
   }
 }
 
+TEST(Flow, ZeroThreadsIsInvalidArgument) {
+  const gf2m::Field field(Poly{4, 1, 0});
+  FlowOptions options;
+  options.threads = 0;
+  EXPECT_THROW(reverse_engineer(gen::generate_mastrovito(field), options),
+               InvalidArgument);
+}
+
 TEST(Flow, NaiveStrategyAgreesWithPacked) {
   const gf2m::Field field(Poly{8, 4, 3, 1, 0});
   const auto netlist = gen::generate_mastrovito(field);

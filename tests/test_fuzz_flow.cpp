@@ -548,7 +548,7 @@ TEST(FuzzBatch, MutantSwarmNeverPoisonsTheBatch) {
     const Mutation kind = kMutations[rng.next_below(5)];
     BatchJob job;
     job.name = std::string(to_string(kind)) + "#" + std::to_string(i);
-    job.netlist = mutate(base, kind, rng);
+    job.netlist = std::make_shared<const nl::Netlist>(mutate(base, kind, rng));
     job.options = fuzz_options();
     jobs.push_back(std::move(job));
   }

@@ -492,7 +492,8 @@ TEST(ResultCacheBatch, InMemoryJobsPersistViaStructuralKeys) {
   const auto make_jobs = [&] {
     std::vector<BatchJob> jobs(2);
     jobs[0].name = "in_memory";
-    jobs[0].netlist = gen::generate_mastrovito(field);
+    jobs[0].netlist =
+        std::make_shared<const nl::Netlist>(gen::generate_mastrovito(field));
     jobs[1].name = "from_file";
     jobs[1].path = data_path("mastrovito_m8.eqn");
     return jobs;

@@ -54,7 +54,7 @@ BatchJob memory_job(std::string name, nl::Netlist netlist,
                     RewriteStrategy strategy) {
   BatchJob job;
   job.name = std::move(name);
-  job.netlist = std::move(netlist);
+  job.netlist = std::make_shared<const nl::Netlist>(std::move(netlist));
   job.options.strategy = strategy;
   return job;
 }
@@ -66,10 +66,11 @@ BatchJob file_job(const std::string& file, RewriteStrategy strategy) {
   return job;
 }
 
-/// Standalone ground truth; nullopt for jobs that cannot load.
+/// Standalone ground truth (test::sequential_flow, no scheduler); nullopt
+/// for jobs that cannot load.
 std::optional<FlowReport> baseline_report(const BatchJob& job) {
   nl::Netlist netlist("x");
-  if (job.netlist.has_value()) {
+  if (job.netlist) {
     netlist = *job.netlist;
   } else {
     try {
@@ -78,9 +79,7 @@ std::optional<FlowReport> baseline_report(const BatchJob& job) {
       return std::nullopt;
     }
   }
-  FlowOptions options = job.options;
-  options.threads = 1;
-  return reverse_engineer(netlist, options);
+  return test::sequential_flow(netlist, job.options);
 }
 
 // -- Differential: interleaved submit/wait ----------------------------------
@@ -197,7 +196,7 @@ TEST(SchedulerCallback, RunsExactlyOnceBeforeFutureIsReady) {
                               : gen::generate_karatsuba(field);
     BatchJob job;
     job.name = "job" + std::to_string(i);
-    job.netlist = std::move(netlist);
+    job.netlist = std::make_shared<const nl::Netlist>(std::move(netlist));
     // Half the jobs get a fresh netlist name so memoized and extracted
     // completions both exercise the callback.
     PerJob* state = &states[static_cast<std::size_t>(i)];
@@ -236,12 +235,14 @@ TEST(SchedulerCallback, SubmitFromCallbackIsSafe) {
   auto chained_future = chained.get_future();
   BatchJob first;
   first.name = "first";
-  first.netlist = gen::generate_mastrovito(field);
+  first.netlist =
+      std::make_shared<const nl::Netlist>(gen::generate_mastrovito(field));
   auto ticket = scheduler.submit(
       std::move(first), [&](const BatchJobResult&) {
         BatchJob next;
         next.name = "chained";
-        next.netlist = gen::generate_karatsuba(field);
+        next.netlist =
+            std::make_shared<const nl::Netlist>(gen::generate_karatsuba(field));
         chained.set_value(scheduler.submit(std::move(next)).result);
       });
   EXPECT_TRUE(ticket.result.get().ok);
@@ -328,14 +329,16 @@ TEST(SchedulerCancel, QueuedJobNeverRunsAndResolvesImmediately) {
 
   BatchJob keep;
   keep.name = "keep";
-  keep.netlist = gen::generate_mastrovito(field);
+  keep.netlist =
+      std::make_shared<const nl::Netlist>(gen::generate_mastrovito(field));
   auto keep_ticket = scheduler.submit(std::move(keep));
 
   std::atomic<int> cancelled_callbacks{0};
   bool callback_saw_cancelled = false;
   BatchJob victim;
   victim.name = "victim";
-  victim.netlist = gen::generate_karatsuba(field);
+  victim.netlist =
+      std::make_shared<const nl::Netlist>(gen::generate_karatsuba(field));
   auto victim_ticket = scheduler.submit(
       std::move(victim), [&](const BatchJobResult& r) {
         ++cancelled_callbacks;
@@ -439,7 +442,8 @@ TEST(SchedulerTeardown, HundredsOfQueuedJobsEveryFutureFulfilled) {
     for (int i = 0; i < kJobs; ++i) {
       BatchJob job;
       job.name = "stress" + std::to_string(i);
-      job.netlist = i % 2 == 0 ? mastrovito : karatsuba;
+      job.netlist =
+          std::make_shared<const nl::Netlist>(i % 2 == 0 ? mastrovito : karatsuba);
       tickets.push_back(scheduler.submit(
           std::move(job),
           [&callbacks](const BatchJobResult&) { ++callbacks; }));
@@ -496,7 +500,8 @@ TEST(SchedulerAdmission, TrySubmitRejectsWhenFull) {
 
   BatchJob second;
   second.name = "second";
-  second.netlist = gen::generate_mastrovito(field);
+  second.netlist =
+      std::make_shared<const nl::Netlist>(gen::generate_mastrovito(field));
   auto second_ticket = scheduler.submit(std::move(second));
 
   // The worker is parked in the gate's read and "second" is queued:
@@ -507,7 +512,8 @@ TEST(SchedulerAdmission, TrySubmitRejectsWhenFull) {
   bool callback_saw_rejected = false;
   BatchJob over;
   over.name = "over";
-  over.netlist = gen::generate_karatsuba(field);
+  over.netlist =
+      std::make_shared<const nl::Netlist>(gen::generate_karatsuba(field));
   auto over_ticket = scheduler.try_submit(
       std::move(over), [&](const BatchJobResult& r) {
         ++reject_callbacks;
@@ -532,7 +538,8 @@ TEST(SchedulerAdmission, TrySubmitRejectsWhenFull) {
   // With the queue drained, try_submit admits again.
   BatchJob after;
   after.name = "after";
-  after.netlist = gen::generate_karatsuba(field);
+  after.netlist =
+      std::make_shared<const nl::Netlist>(gen::generate_karatsuba(field));
   auto after_ticket = scheduler.try_submit(std::move(after));
   EXPECT_NE(after_ticket.handle, 0u);
   EXPECT_TRUE(after_ticket.result.get().ok);
@@ -566,7 +573,8 @@ TEST(SchedulerAdmission, BlockingSubmitWaitsForRoom) {
   std::thread submitter([&] {
     BatchJob blocked;
     blocked.name = "blocked";
-    blocked.netlist = gen::generate_mastrovito(field);
+    blocked.netlist =
+        std::make_shared<const nl::Netlist>(gen::generate_mastrovito(field));
     auto ticket = scheduler.submit(std::move(blocked));
     admitted.store(true);
     blocked_future = std::move(ticket.result);
@@ -603,7 +611,8 @@ TEST(SchedulerDeadline, ExpiresWhileQueued) {
   std::atomic<int> callbacks{0};
   BatchJob victim;
   victim.name = "victim";
-  victim.netlist = gen::generate_mastrovito(field);
+  victim.netlist =
+      std::make_shared<const nl::Netlist>(gen::generate_mastrovito(field));
   victim.deadline_ms = 20;
   auto victim_ticket = scheduler.submit(
       std::move(victim),
@@ -675,7 +684,7 @@ TEST(SchedulerDeadline, RunningSoftAbortIsBitStableAcrossThreadCounts) {
     BatchScheduler scheduler(options);
     BatchJob job;
     job.name = "blowup";
-    job.netlist = blowup_netlist(13);
+    job.netlist = std::make_shared<const nl::Netlist>(blowup_netlist(13));
     job.deadline_ms = 20;
     auto ticket = scheduler.submit(std::move(job));
     const BatchJobResult result = ticket.result.get();
@@ -692,7 +701,7 @@ TEST(SchedulerDeadline, RunningSoftAbortIsBitStableAcrossThreadCounts) {
     // not replay the budget verdict as a memo hit.
     BatchJob again;
     again.name = "blowup_again";
-    again.netlist = blowup_netlist(13);
+    again.netlist = std::make_shared<const nl::Netlist>(blowup_netlist(13));
     again.deadline_ms = 20;
     const BatchJobResult second = scheduler.submit(std::move(again))
                                       .result.get();
@@ -737,16 +746,19 @@ TEST(SchedulerPriority, ClassOrderBeatsSubmissionOrder) {
   };
   BatchJob low;
   low.name = "low";
-  low.netlist = gen::generate_mastrovito(field4);
+  low.netlist =
+      std::make_shared<const nl::Netlist>(gen::generate_mastrovito(field4));
   low.priority = JobPriority::Low;
   auto low_ticket = scheduler.submit(std::move(low), record);
   BatchJob normal;
   normal.name = "normal";
-  normal.netlist = gen::generate_mastrovito(field5);
+  normal.netlist =
+      std::make_shared<const nl::Netlist>(gen::generate_mastrovito(field5));
   auto normal_ticket = scheduler.submit(std::move(normal), record);
   BatchJob high;
   high.name = "high";
-  high.netlist = gen::generate_mastrovito(field7);
+  high.netlist =
+      std::make_shared<const nl::Netlist>(gen::generate_mastrovito(field7));
   high.priority = JobPriority::High;
   auto high_ticket = scheduler.submit(std::move(high), record);
 
@@ -781,11 +793,13 @@ TEST(SchedulerDrain, DrainForCancelsQueuedAfterTimeout) {
 
   BatchJob queued1;
   queued1.name = "queued1";
-  queued1.netlist = gen::generate_mastrovito(field);
+  queued1.netlist =
+      std::make_shared<const nl::Netlist>(gen::generate_mastrovito(field));
   auto ticket1 = scheduler.submit(std::move(queued1));
   BatchJob queued2;
   queued2.name = "queued2";
-  queued2.netlist = gen::generate_karatsuba(field);
+  queued2.netlist =
+      std::make_shared<const nl::Netlist>(gen::generate_karatsuba(field));
   auto ticket2 = scheduler.submit(std::move(queued2));
 
   // The gate job is mid-"extraction" (parked in its read) and cannot be
@@ -846,7 +860,8 @@ TEST(SchedulerStats, SnapshotsAreConsistentUnderConcurrentWorkers) {
   for (int i = 0; i < kJobs; ++i) {
     BatchJob job;
     job.name = "hammer" + std::to_string(i);
-    job.netlist = i % 2 == 0 ? mastrovito : karatsuba;
+    job.netlist =
+        std::make_shared<const nl::Netlist>(i % 2 == 0 ? mastrovito : karatsuba);
     futures.push_back(scheduler.submit(std::move(job)).result);
   }
   scheduler.drain();
@@ -880,7 +895,8 @@ TEST(SchedulerDrain, WaitIdleForIsAPassiveBoundedWait) {
 
   BatchJob queued;
   queued.name = "queued";
-  queued.netlist = gen::generate_mastrovito(field);
+  queued.netlist =
+      std::make_shared<const nl::Netlist>(gen::generate_mastrovito(field));
   auto queued_ticket = scheduler.submit(std::move(queued));
 
   // The worker is parked: the wait must time out WITHOUT cancelling
@@ -917,7 +933,8 @@ TEST(SchedulerDeadline, QueuedExpiryFiresNearTheDeadlineNotAPollTick) {
   // loose for CI noise while still catching any 5-10 s poll loop.
   BatchJob victim;
   victim.name = "victim";
-  victim.netlist = gen::generate_mastrovito(field);
+  victim.netlist =
+      std::make_shared<const nl::Netlist>(gen::generate_mastrovito(field));
   victim.deadline_ms = 100;
   const auto submitted = std::chrono::steady_clock::now();
   auto ticket = scheduler.submit(std::move(victim));

@@ -8,6 +8,7 @@
 
 #include "core/flow.hpp"
 #include "core/parallel_extract.hpp"
+#include "core/rewriter.hpp"
 #include "gen/mastrovito.hpp"
 #include "gf2m/field.hpp"
 #include "gf2poly/irreducible.hpp"
@@ -77,6 +78,98 @@ INSTANTIATE_TEST_SUITE_P(Gf2m4To8, ThreadInvariance,
                          [](const ::testing::TestParamInfo<unsigned>& info) {
                            return "m" + std::to_string(info.param);
                          });
+
+// An m=8 word-level interface whose cones 1 and 2 blow up at different
+// rates: z1 is a product of four 3-input XORs, z2 a product of four
+// 2-input XORs, and every other z_i is a single AND.  Under a small term
+// budget exactly those two cones throw, with different live-monomial
+// counts in their messages — so which failure surfaces is observable.
+nl::Netlist two_blowup_cones() {
+  constexpr unsigned m = 8;
+  nl::Netlist netlist("two_blowup_cones");
+  std::vector<nl::Var> a, b;
+  for (unsigned i = 0; i < m; ++i) {
+    a.push_back(netlist.add_input("a" + std::to_string(i)));
+  }
+  for (unsigned i = 0; i < m; ++i) {
+    b.push_back(netlist.add_input("b" + std::to_string(i)));
+  }
+  const auto product = [&](unsigned width, const std::string& name) {
+    nl::Var acc = 0;
+    for (unsigned f = 0; f < 4; ++f) {
+      nl::Var factor = netlist.add_gate(nl::CellType::Xor, {a[f], b[f]});
+      if (width == 3) {
+        factor = netlist.add_gate(nl::CellType::Xor, {factor, a[f + 4]});
+      }
+      acc = f == 0 ? factor
+                   : netlist.add_gate(nl::CellType::And, {acc, factor},
+                                      f == 3 ? name : "");
+    }
+    return acc;
+  };
+  for (unsigned i = 0; i < m; ++i) {
+    const std::string name = "z" + std::to_string(i);
+    netlist.mark_output(
+        i == 1   ? product(3, name)
+        : i == 2 ? product(2, name)
+                 : netlist.add_gate(nl::CellType::And, {a[i], b[i]}, name));
+  }
+  return netlist;
+}
+
+std::string extraction_error(const nl::Netlist& netlist,
+                             const std::vector<nl::Var>& outputs,
+                             unsigned threads, std::size_t max_terms) {
+  try {
+    core::extract_outputs(netlist, outputs, threads,
+                          core::RewriteStrategy::Packed, max_terms);
+  } catch (const core::TermBudgetExceeded& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ThreadInvarianceBudget, LowestIndexFailureWinsAtEveryThreadCount) {
+  // Two of eight cones exceed the budget.  Every extraction must run all
+  // cones before surfacing a failure (the sanitizer leg would flag a
+  // worker outliving the call), and the failure rethrown must be cone 1's
+  // — the one the sequential loop stops at — whatever order the workers
+  // finish in.
+  constexpr std::size_t kBudget = 10;
+  const auto netlist = two_blowup_cones();
+  const auto& outputs = netlist.outputs();
+  const unsigned m = static_cast<unsigned>(outputs.size());
+
+  std::vector<std::string> per_cone;
+  for (const nl::Var out : outputs) {
+    per_cone.push_back(extraction_error(netlist, {out}, 1, kBudget));
+  }
+  ASSERT_TRUE(per_cone[0].empty());
+  ASSERT_FALSE(per_cone[1].empty());
+  ASSERT_FALSE(per_cone[2].empty());
+  ASSERT_NE(per_cone[1], per_cone[2])
+      << "the failing cones must be told apart by their messages";
+  for (unsigned i = 3; i < m; ++i) ASSERT_TRUE(per_cone[i].empty()) << i;
+
+  const std::string sequential =
+      extraction_error(netlist, outputs, 1, kBudget);
+  EXPECT_EQ(sequential, per_cone[1]);
+  for (const unsigned threads : {2u, 4u, 4 * m}) {
+    EXPECT_EQ(extraction_error(netlist, outputs, threads, kBudget),
+              sequential)
+        << "threads=" << threads;
+  }
+
+  for (const unsigned threads : {1u, 2u, 4u, 4 * m}) {
+    core::FlowOptions options;
+    options.threads = threads;
+    options.max_terms = kBudget;
+    const auto report = core::reverse_engineer(netlist, options);
+    EXPECT_FALSE(report.success) << "threads=" << threads;
+    EXPECT_EQ(report.recovery.diagnosis, "extraction aborted: " + sequential)
+        << "threads=" << threads;
+  }
+}
 
 }  // namespace
 }  // namespace gfre

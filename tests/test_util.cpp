@@ -1,14 +1,11 @@
 // Tests for the utility substrate.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <set>
-#include <thread>
 
 #include "util/error.hpp"
 #include "util/jsonl.hpp"
@@ -16,7 +13,6 @@
 #include "util/prng.hpp"
 #include "util/rss.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace gfre {
@@ -83,76 +79,6 @@ TEST(Timer, MeasuresElapsedTime) {
   const double before = t.seconds();
   t.reset();
   EXPECT_LE(t.seconds(), before + 1.0);
-}
-
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  pool.parallel_for(100, [&](std::size_t) { ++counter; });
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      pool.parallel_for(10,
-                        [&](std::size_t i) {
-                          if (i == 7) throw Error("boom");
-                        }),
-      Error);
-}
-
-TEST(ThreadPool, ParallelForDrainsAllTasksWhenOneThrows) {
-  // Regression: parallel_for used to rethrow on the first failed future,
-  // returning while later tasks (which capture `fn` by reference) were
-  // still queued — a use-after-free the sanitizer job would flag.  All
-  // tasks must run to completion before the exception surfaces.
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  EXPECT_THROW(pool.parallel_for(64,
-                                 [&](std::size_t i) {
-                                   if (i == 0) throw Error("early boom");
-                                   // Give the throwing task a head start so
-                                   // the old bug would reliably leave these
-                                   // queued at rethrow time.
-                                   std::this_thread::sleep_for(
-                                       std::chrono::microseconds(50));
-                                   ++ran;
-                                 }),
-               Error);
-  EXPECT_EQ(ran.load(), 63) << "every non-throwing task must have run";
-}
-
-TEST(ThreadPool, ParallelForReportsFirstFailureByIndex) {
-  ThreadPool pool(2);
-  try {
-    pool.parallel_for(8, [&](std::size_t i) {
-      if (i == 3 || i == 6) throw Error("task " + std::to_string(i));
-    });
-    FAIL() << "expected an exception";
-  } catch (const Error& e) {
-    EXPECT_STREQ(e.what(), "task 3");
-  }
-}
-
-TEST(ThreadPool, SubmittedTaskExceptionIsStoredNotTerminating) {
-  // A throwing submitted task must surface through the future as a stored
-  // exception_ptr — never std::terminate the process.
-  ThreadPool pool(2);
-  auto fut = pool.submit([] { throw Error("stored"); });
-  EXPECT_THROW(fut.get(), Error);
-}
-
-TEST(ThreadPool, SingleWorkerStillWorks) {
-  ThreadPool pool(1);
-  std::atomic<int> counter{0};
-  auto f1 = pool.submit([&] { ++counter; });
-  auto f2 = pool.submit([&] { ++counter; });
-  f1.get();
-  f2.get();
-  EXPECT_EQ(counter.load(), 2);
-  EXPECT_EQ(pool.size(), 1u);
-  EXPECT_THROW(ThreadPool(0), Error);
 }
 
 TEST(TextTable, RendersAligned) {
