@@ -58,79 +58,44 @@ int main(int argc, char** argv) {
   std::string out_path;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--family" && i + 1 < argc) {
-      family = argv[++i];
-    } else if (arg == "--m" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      if (value.empty() || value[0] == '-') {
-        std::cerr << "--m wants a positive integer\n";
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--family" && i + 1 < argc) {
+        family = argv[++i];
+      } else if (arg == "--m" && i + 1 < argc) {
+        m = static_cast<unsigned>(parse_u64(argv[++i], arg, 2, 1024));
+      } else if (arg == "--fault" && i + 1 < argc) {
+        fault = argv[++i];
+        if (fault != "stuckat" && fault != "flip" && fault != "both") {
+          std::cerr << "--fault wants stuckat, flip or both\n";
+          usage(std::cerr);
+          return 2;
+        }
+      } else if (arg == "--count" && i + 1 < argc) {
+        count = static_cast<unsigned>(parse_u64(argv[++i], arg, 1, 1024));
+      } else if (arg == "--seed" && i + 1 < argc) {
+        seed = parse_u64(argv[++i], arg);
+      } else if (arg == "--threads" && i + 1 < argc) {
+        campaign.threads =
+            static_cast<unsigned>(parse_u64(argv[++i], arg, 1, 4096));
+      } else if (arg == "--out" && i + 1 < argc) {
+        out_path = argv[++i];
+      } else if (arg == "--quiet") {
+        quiet = true;
+      } else if (arg == "--help") {
+        usage(std::cout);
+        return 0;
+      } else {
+        std::cerr << "unknown argument '" << arg << "'\n";
         usage(std::cerr);
         return 2;
       }
-      const unsigned long width = std::stoul(value);
-      if (width < 2 || width > 1024) {
-        std::cerr << "--m wants 2..1024\n";
-        usage(std::cerr);
-        return 2;
-      }
-      m = static_cast<unsigned>(width);
-    } else if (arg == "--fault" && i + 1 < argc) {
-      fault = argv[++i];
-      if (fault != "stuckat" && fault != "flip" && fault != "both") {
-        std::cerr << "--fault wants stuckat, flip or both\n";
-        usage(std::cerr);
-        return 2;
-      }
-    } else if (arg == "--count" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      if (value.empty() || value[0] == '-') {
-        std::cerr << "--count wants a positive integer\n";
-        usage(std::cerr);
-        return 2;
-      }
-      const unsigned long n = std::stoul(value);
-      if (n == 0 || n > 1024) {
-        std::cerr << "--count wants 1..1024\n";
-        usage(std::cerr);
-        return 2;
-      }
-      count = static_cast<unsigned>(n);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      if (value.empty() || value[0] == '-') {
-        std::cerr << "--seed wants a non-negative integer\n";
-        usage(std::cerr);
-        return 2;
-      }
-      seed = std::stoull(value);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      if (value.empty() || value[0] == '-') {
-        std::cerr << "--threads wants a positive integer\n";
-        usage(std::cerr);
-        return 2;
-      }
-      const unsigned long threads = std::stoul(value);
-      if (threads == 0 || threads > 4096) {
-        std::cerr << "--threads wants 1..4096\n";
-        usage(std::cerr);
-        return 2;
-      }
-      campaign.threads = static_cast<unsigned>(threads);
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--help") {
-      usage(std::cout);
-      return 0;
-    } else {
-      std::cerr << "unknown argument '" << arg << "'\n";
-      usage(std::cerr);
-      return 2;
     }
+  } catch (const InvalidArgument& e) {
+    std::cerr << "bad argument: " << e.what() << "\n";
+    usage(std::cerr);
+    return 2;
   }
 
   // Control first (the clean twin the scheduler dedups against), then one

@@ -14,6 +14,7 @@
 // manifest.
 #include <unistd.h>
 
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +23,7 @@
 
 #include "serve/server.hpp"
 #include "util/error.hpp"
+#include "util/options.hpp"
 
 namespace {
 
@@ -98,29 +100,17 @@ int main(int argc, char** argv) {
       if (arg == "--socket") {
         options.socket_path = want_value("--socket");
       } else if (arg == "--tcp") {
-        const unsigned long port = std::stoul(want_value("--tcp"));
-        if (port == 0 || port > 65535) {
-          std::cerr << "--tcp wants a port in 1..65535\n";
-          return 2;
-        }
-        options.tcp_port = static_cast<unsigned short>(port);
+        options.tcp_port = static_cast<unsigned short>(
+            parse_u64(want_value("--tcp"), arg, 1, 65535));
       } else if (arg == "--workers") {
-        const unsigned long n = std::stoul(want_value("--workers"));
-        if (n == 0 || n > 256) {
-          std::cerr << "--workers wants 1..256\n";
-          return 2;
-        }
-        options.coordinator.workers = static_cast<unsigned>(n);
+        options.coordinator.workers = static_cast<unsigned>(
+            parse_u64(want_value("--workers"), arg, 1, 256));
       } else if (arg == "--worker-threads") {
-        const unsigned long n = std::stoul(want_value("--worker-threads"));
-        if (n == 0 || n > 4096) {
-          std::cerr << "--worker-threads wants 1..4096\n";
-          return 2;
-        }
-        options.coordinator.threads_per_worker = static_cast<unsigned>(n);
+        options.coordinator.threads_per_worker = static_cast<unsigned>(
+            parse_u64(want_value("--worker-threads"), arg, 1, 4096));
       } else if (arg == "--queue-cap") {
         options.coordinator.worker_queue_cap =
-            std::stoull(want_value("--queue-cap"));
+            parse_u64(want_value("--queue-cap"), arg);
       } else if (arg == "--admission") {
         const std::string mode = want_value("--admission");
         if (mode == "block") {
@@ -132,20 +122,20 @@ int main(int argc, char** argv) {
           return 2;
         }
       } else if (arg == "--retries") {
-        options.coordinator.max_retries =
-            static_cast<unsigned>(std::stoul(want_value("--retries")));
+        options.coordinator.max_retries = static_cast<unsigned>(
+            parse_u64(want_value("--retries"), arg, 0, UINT_MAX));
       } else if (arg == "--no-respawn") {
         options.coordinator.respawn = false;
       } else if (arg == "--cache") {
         options.coordinator.worker.cache_dir = want_value("--cache");
       } else if (arg == "--cache-cap") {
         options.coordinator.worker.cache_cap_bytes =
-            std::stoull(want_value("--cache-cap"));
+            parse_u64(want_value("--cache-cap"), arg);
       } else if (arg == "--cache-negative-ttl") {
         options.coordinator.worker.cache_negative_ttl_seconds =
-            std::stoull(want_value("--cache-negative-ttl"));
+            parse_u64(want_value("--cache-negative-ttl"), arg);
       } else if (arg == "--drain-grace-ms") {
-        const auto ms = std::stoull(want_value("--drain-grace-ms"));
+        const auto ms = parse_u64(want_value("--drain-grace-ms"), arg);
         options.shutdown_grace = std::chrono::milliseconds(ms);
         options.coordinator.worker.drain_grace_ms = ms;
       } else if (arg == "--quiet") {

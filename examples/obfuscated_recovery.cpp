@@ -16,6 +16,7 @@
 //
 // --emit-obf / --emit-key freeze the obfuscated netlist (.eqn) and its
 // correct key to disk — how the data/obf/ corpus fixtures were made.
+#include <climits>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -77,29 +78,13 @@ int main(int argc, char** argv) {
       if (arg == "--family" && i + 1 < argc) {
         scenario.family = argv[++i];
       } else if (arg == "--m" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          std::cerr << "--m wants a positive integer\n";
-          usage(std::cerr);
-          return 2;
-        }
-        const unsigned long m = std::stoul(value);
-        if (m < 2 || m > 1024) {
-          std::cerr << "--m wants 2..1024\n";
-          usage(std::cerr);
-          return 2;
-        }
-        scenario.m = static_cast<unsigned>(m);
+        scenario.m =
+            static_cast<unsigned>(parse_u64(argv[++i], arg, 2, 1024));
       } else if (arg == "--pass" && i + 1 < argc) {
         pass_text = argv[++i];
       } else if (arg == "--strength" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          std::cerr << "--strength wants a non-negative integer\n";
-          usage(std::cerr);
-          return 2;
-        }
-        default_strength = static_cast<unsigned>(std::stoul(value));
+        default_strength = static_cast<unsigned>(
+            parse_u64(argv[++i], arg, 0, UINT_MAX));
       } else if (arg == "--key" && i + 1 < argc) {
         const std::string value = argv[++i];
         if (const auto mode = obf::key_mode_from_name(value)) {
@@ -108,35 +93,12 @@ int main(int argc, char** argv) {
           scenario.explicit_key = obf::parse_key(value);  // throws on junk
         }
       } else if (arg == "--seed" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          std::cerr << "--seed wants a non-negative integer\n";
-          usage(std::cerr);
-          return 2;
-        }
-        scenario.seed = std::stoull(value);
+        scenario.seed = parse_u64(argv[++i], arg);
       } else if (arg == "--threads" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          std::cerr << "--threads wants a positive integer\n";
-          usage(std::cerr);
-          return 2;
-        }
-        const unsigned long threads = std::stoul(value);
-        if (threads == 0 || threads > 4096) {
-          std::cerr << "--threads wants 1..4096\n";
-          usage(std::cerr);
-          return 2;
-        }
-        campaign.threads = static_cast<unsigned>(threads);
+        campaign.threads =
+            static_cast<unsigned>(parse_u64(argv[++i], arg, 1, 4096));
       } else if (arg == "--max-terms" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          std::cerr << "--max-terms wants a non-negative integer\n";
-          usage(std::cerr);
-          return 2;
-        }
-        campaign.max_terms = std::stoull(value);
+        campaign.max_terms = parse_u64(argv[++i], arg);
       } else if (arg == "--out" && i + 1 < argc) {
         out_path = argv[++i];
       } else if (arg == "--emit-obf" && i + 1 < argc) {

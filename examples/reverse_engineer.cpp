@@ -11,6 +11,7 @@
 // irreducible, and all checks passed.
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "core/batch.hpp"
@@ -52,50 +53,45 @@ int main(int argc, char** argv) {
   core::FlowOptions options;
   options.threads = static_cast<unsigned>(configured_threads());
   bool demo = false;
-  long trace_bit = -1;
+  std::optional<std::uint64_t> trace_bit;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--demo") {
-      demo = true;
-    } else if (arg == "--help") {
-      usage(std::cout);
-      return 0;
-    } else if (arg == "--no-verify") {
-      options.verify_with_golden = false;
-    } else if (arg == "--library" && i + 1 < argc) {
-      options.library = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      // Every flow runs on scheduler workers, so the count must be sane
-      // before any thread is started; same bounds as gfre_batch.
-      std::uint64_t n = 0;
-      try {
-        n = parse_u64(argv[++i], "--threads");
-      } catch (const InvalidArgument& e) {
-        std::cerr << "bad argument: " << e.what() << "\n";
-        return 2;
-      }
-      if (n == 0 || n > 4096) {
-        std::cerr << "--threads wants 1..4096\n";
-        return 2;
-      }
-      options.threads = static_cast<unsigned>(n);
-    } else if (arg == "--trace" && i + 1 < argc) {
-      trace_bit = std::stol(argv[++i]);
-    } else if (arg == "--ports" && i + 1 < argc) {
-      try {
-        core::parse_port_spec(argv[++i], options);
-      } catch (const InvalidArgument& e) {
-        std::cerr << "--ports: " << e.what() << "\n";
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--demo") {
+        demo = true;
+      } else if (arg == "--help") {
+        usage(std::cout);
+        return 0;
+      } else if (arg == "--no-verify") {
+        options.verify_with_golden = false;
+      } else if (arg == "--library" && i + 1 < argc) {
+        options.library = argv[++i];
+      } else if (arg == "--threads" && i + 1 < argc) {
+        // Every flow runs on scheduler workers, so the count must be sane
+        // before any thread is started; same bounds as gfre_batch.
+        options.threads =
+            static_cast<unsigned>(parse_u64(argv[++i], arg, 1, 4096));
+      } else if (arg == "--trace" && i + 1 < argc) {
+        trace_bit = parse_u64(argv[++i], arg);
+      } else if (arg == "--ports" && i + 1 < argc) {
+        try {
+          core::parse_port_spec(argv[++i], options);
+        } catch (const InvalidArgument& e) {
+          std::cerr << "--ports: " << e.what() << "\n";
+          usage(std::cerr);
+          return 2;
+        }
+      } else if (!arg.empty() && arg[0] == '-') {
         usage(std::cerr);
         return 2;
+      } else {
+        path = arg;
       }
-    } else if (!arg.empty() && arg[0] == '-') {
-      usage(std::cerr);
-      return 2;
-    } else {
-      path = arg;
     }
+  } catch (const InvalidArgument& e) {
+    std::cerr << "bad argument: " << e.what() << "\n";
+    return 2;
   }
 
   try {
@@ -116,16 +112,18 @@ int main(int argc, char** argv) {
                 << netlist.outputs().size() << " outputs\n";
     }
 
-    if (trace_bit >= 0) {
+    if (trace_bit.has_value()) {
       const auto v = netlist.find_var(options.z_base +
-                                      std::to_string(trace_bit));
+                                      std::to_string(*trace_bit));
       if (!v.has_value()) {
-        std::cerr << "no output net " << options.z_base << trace_bit << "\n";
+        std::cerr << "no output net " << options.z_base << *trace_bit
+                  << "\n";
         return 2;
       }
       core::RewriteOptions rewrite_options;
       rewrite_options.trace = &std::cout;
-      std::cout << "--- Algorithm 1 trace of bit " << trace_bit << " ---\n";
+      std::cout << "--- Algorithm 1 trace of bit " << *trace_bit
+                << " ---\n";
       (void)core::extract_output_anf(netlist, *v, rewrite_options);
       std::cout << "\n";
     }

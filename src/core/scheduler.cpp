@@ -160,6 +160,17 @@ nl::Netlist load_netlist_file(const std::string& path,
 // ---------------------------------------------------------------------------
 
 struct BatchScheduler::Impl {
+  /// A cone's failure as a value, caught on the worker that ran the cone
+  /// so no exception object crosses threads.  `fatal` is set only for a
+  /// non-Error exception (engine bug / OOM), which the job's future must
+  /// still carry.
+  struct ConeFailure {
+    std::size_t cone = 0;
+    bool deadline_exceeded = false;
+    std::string message;
+    std::exception_ptr fatal;
+  };
+
   struct Job {
     JobHandle handle = 0;
     BatchJob spec;
@@ -189,8 +200,7 @@ struct BatchScheduler::Impl {
     /// because a single worker claims cones in order and stops at the
     /// first throwing one, and reports must be identical at any worker
     /// count and under any interleaving.
-    std::exception_ptr abort;
-    std::size_t abort_cone = 0;
+    std::optional<ConeFailure> abort;
 
     /// Absolute deadline (spec.deadline_ms past submission); nullopt = no
     /// budget.  While the job is Queued/AwaitingPrimary the reaper owns
@@ -756,25 +766,27 @@ struct BatchScheduler::Impl {
     // Soft-abort plumbing: the rewriter checks this at the same
     // between-substitutions checkpoint as max_terms.
     options.deadline = job.deadline;
-    std::exception_ptr failure;
+    std::optional<ConeFailure> failure;
     try {
       // Each slot is claimed by exactly one worker — no lock needed for
       // the write.
       job.extraction.anfs[cone] =
           extract_output_anf(*job.net, job.ports->z.bits[cone], options,
                              &job.extraction.per_bit[cone]);
+    } catch (const DeadlineExceeded& e) {
+      // Resource budget, not a property of the netlist: run_finalize
+      // flags the result so completion skips both caches.
+      failure = ConeFailure{cone, true, e.what(), nullptr};
+    } catch (const Error& e) {
+      failure = ConeFailure{cone, false, e.what(), nullptr};
     } catch (...) {
-      // Error-derived failures become this job's diagnosed result in
-      // run_finalize; anything else resolves the job's future with the
-      // exception there.
-      failure = std::current_exception();
+      failure = ConeFailure{cone, false, "", std::current_exception()};
     }
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.cones_extracted;
     ++job.cones_done;
-    if (failure && (!job.abort || cone < job.abort_cone)) {
-      job.abort = failure;
-      job.abort_cone = cone;
+    if (failure && (!job.abort || cone < job.abort->cone)) {
+      job.abort = std::move(failure);
     }
     // On abort, cones_available() stops further claims; the job finalizes
     // once the already-claimed cones drain.
@@ -791,25 +803,17 @@ struct BatchScheduler::Impl {
   void run_finalize(Job& job, std::vector<Job*>& done) {
     FlowReport report;
     if (job.abort) {
-      std::string what;
-      try {
-        std::rethrow_exception(job.abort);
-      } catch (const DeadlineExceeded& e) {
-        // Resource budget, not a property of the netlist: flag the result
-        // so completion skips both caches, and let the fixed exception
-        // message shape a report that is bit-identical at any thread
-        // count.
-        job.result.deadline_exceeded = true;
-        what = e.what();
-      } catch (const Error& e) {
-        what = e.what();
-      } catch (...) {
+      if (job.abort->fatal) {
         // A non-Error escaped a cone task: engine bug, not a diagnosis.
         std::lock_guard<std::mutex> lock(mu_);
-        fail_locked(job, job.abort, done);
+        fail_locked(job, job.abort->fatal, done);
         return;
       }
-      report = extraction_failure_report(*job.net, *job.ports, what);
+      // The fixed message shapes a report that is bit-identical at any
+      // thread count.
+      job.result.deadline_exceeded = job.abort->deadline_exceeded;
+      report =
+          extraction_failure_report(*job.net, *job.ports, job.abort->message);
     } else {
       {
         std::lock_guard<std::mutex> lock(mu_);
@@ -911,10 +915,7 @@ struct BatchScheduler::Impl {
         job.cones_done < job.cones_claimed) {
       // Other workers still run this job's cones — poison it and let the
       // last cone route it to run_finalize, which delivers the exception.
-      if (!job.abort) {
-        job.abort = error;
-        job.abort_cone = 0;
-      }
+      if (!job.abort) job.abort = ConeFailure{0, false, "", error};
       return;
     }
     // No task references the job anymore; scrub it from whichever claim

@@ -9,20 +9,6 @@
 
 namespace gfre::frontend {
 
-const char* format_name(Format format) {
-  switch (format) {
-    case Format::Eqn:
-      return "eqn";
-    case Format::Blif:
-      return "blif";
-    case Format::Verilog:
-      return "verilog";
-    case Format::Unknown:
-      return "unknown";
-  }
-  return "unknown";
-}
-
 namespace {
 
 bool ident_start(char c) {
@@ -91,65 +77,22 @@ Format sniff_format(std::string_view bytes) {
   return Format::Unknown;
 }
 
-namespace {
-
-class EqnFrontend final : public Frontend {
- public:
-  Format format() const override { return Format::Eqn; }
-  nl::Netlist parse(const std::string& text, const std::string& filename,
-                    const FrontendOptions& options) const override {
-    return nl::read_eqn(text, filename, options);
-  }
-};
-
-class BlifFrontend final : public Frontend {
- public:
-  Format format() const override { return Format::Blif; }
-  nl::Netlist parse(const std::string& text, const std::string& filename,
-                    const FrontendOptions& options) const override {
-    (void)options;  // BLIF covers never reference library cells.
-    return nl::read_blif(text, filename);
-  }
-};
-
-class VerilogFrontend final : public Frontend {
- public:
-  Format format() const override { return Format::Verilog; }
-  nl::Netlist parse(const std::string& text, const std::string& filename,
-                    const FrontendOptions& options) const override {
-    return nl::read_verilog(text, filename, options);
-  }
-};
-
-}  // namespace
-
-const Frontend& frontend_for(Format format) {
-  static const EqnFrontend eqn;
-  static const BlifFrontend blif;
-  static const VerilogFrontend verilog;
-  switch (format) {
+nl::Netlist parse_netlist(const std::string& text, const std::string& filename,
+                          const FrontendOptions& options) {
+  switch (sniff_format(text)) {
     case Format::Eqn:
-      return eqn;
+      return nl::read_eqn(text, filename, options);
     case Format::Blif:
-      return blif;
+      return nl::read_blif(text, filename);  // covers never name cells
     case Format::Verilog:
-      return verilog;
+      return nl::read_verilog(text, filename, options);
     case Format::Unknown:
       break;
   }
-  throw InvalidArgument("no frontend for unknown format");
-}
-
-nl::Netlist parse_netlist(const std::string& text, const std::string& filename,
-                          const FrontendOptions& options) {
-  const Format format = sniff_format(text);
-  if (format == Format::Unknown) {
-    throw ParseError(
-        filename, 1,
-        "unknown_format: content matches no supported dialect (expected "
-        ".eqn equations, BLIF directives, or a Verilog module)");
-  }
-  return frontend_for(format).parse(text, filename, options);
+  throw ParseError(
+      filename, 1,
+      "unknown_format: content matches no supported dialect (expected "
+      ".eqn equations, BLIF directives, or a Verilog module)");
 }
 
 }  // namespace gfre::frontend

@@ -6,8 +6,8 @@
 // protocol — parse the same as a well-named file.  Unrecognizable bytes
 // are a diagnosed `unknown_format` parse error, never a crash.
 //
-// Every dialect parser is reachable through the Frontend interface and
-// shares the frontend/source.hpp lexing substrate, so CRLF handling,
+// Every dialect parser is reachable through parse_netlist() and shares
+// the frontend/source.hpp lexing substrate, so CRLF handling,
 // comment stripping and file:line:column diagnostics behave identically
 // across .eqn, BLIF and Verilog.
 #pragma once
@@ -23,8 +23,6 @@ namespace gfre::frontend {
 
 enum class Format { Eqn, Blif, Verilog, Unknown };
 
-const char* format_name(Format format);
-
 /// Determines the dialect from the first non-comment token of `bytes`.
 Format sniff_format(std::string_view bytes);
 
@@ -37,20 +35,6 @@ struct FrontendOptions {
   /// the unique uninstantiated one in a multi-module file.
   std::string top;
 };
-
-/// One dialect parser.
-class Frontend {
- public:
-  virtual ~Frontend() = default;
-  virtual Format format() const = 0;
-  virtual nl::Netlist parse(const std::string& text,
-                            const std::string& filename,
-                            const FrontendOptions& options) const = 0;
-};
-
-/// The registered parser for a dialect; throws InvalidArgument for
-/// Format::Unknown.
-const Frontend& frontend_for(Format format);
 
 /// Sniffs and parses.  Throws ParseError with an `unknown_format`
 /// diagnosis when the bytes match no dialect.

@@ -1,108 +1,174 @@
 #include "frontend/graph.hpp"
 
+#include "opt/passes.hpp"
 #include "util/error.hpp"
 
 namespace gfre::frontend {
 
-GraphBuilder::GraphBuilder(std::string model_name, std::string file)
-    : model_name_(std::move(model_name)), file_(std::move(file)) {}
+namespace {
+// def_ value of a declared input.
+constexpr std::uint32_t kInput = UINT32_MAX;
+}  // namespace
 
-void GraphBuilder::add_input(const std::string& name, const Loc& loc) {
-  if (input_locs_.count(name))
-    fail_at(loc, "input '" + name + "' declared twice");
-  if (node_by_output_.count(name))
-    fail_at(loc, "input '" + name + "' is also driven");
-  inputs_.emplace_back(name, loc);
-  input_locs_.emplace(name, loc);
+GraphBuilder::GraphBuilder(std::string file) {
+  files_.push_back(std::move(file));
 }
 
-void GraphBuilder::add_output(const std::string& name, const Loc& loc) {
-  outputs_.emplace_back(name, loc);
+GraphBuilder::NameId GraphBuilder::intern(std::string_view name) {
+  const auto [it, fresh] = ids_.try_emplace(
+      std::string(name), static_cast<NameId>(names_.size()));
+  if (fresh) {
+    names_.push_back(&it->first);
+    def_.push_back(0);
+  }
+  return it->second;
 }
 
-void GraphBuilder::add_node(std::string output, std::vector<std::string> args,
+GraphBuilder::Pos GraphBuilder::pos_of(const Loc& loc) {
+  // A file switch only happens at an `include boundary.
+  if (files_.back() != loc.file) files_.push_back(loc.file);
+  return Pos{static_cast<std::uint32_t>(files_.size() - 1), loc.line,
+             loc.column};
+}
+
+Loc GraphBuilder::loc_of(const Pos& pos) const {
+  return Loc{files_[pos.file], pos.line, pos.column};
+}
+
+void GraphBuilder::add_input(std::string_view name, const Loc& loc) {
+  const NameId id = intern(name);
+  if (def_[id] == kInput)
+    fail_at(loc, "input '" + std::string(name) + "' declared twice");
+  if (def_[id] != 0)
+    fail_at(loc, "input '" + std::string(name) + "' is also driven");
+  def_[id] = kInput;
+  inputs_.push_back(id);
+}
+
+void GraphBuilder::add_output(std::string_view name, const Loc& loc) {
+  outputs_.emplace_back(intern(name), pos_of(loc));
+}
+
+GraphBuilder::Node& GraphBuilder::push_node(
+    std::string_view out, std::span<const std::string_view> args,
+    const Loc& loc) {
+  const NameId id = intern(out);
+  if (def_[id] == kInput)
+    fail_at(loc, "input '" + std::string(out) + "' is also driven");
+  if (def_[id] != 0)
+    fail_at(loc, "net '" + std::string(out) + "' defined twice");
+  Node& node = nodes_.emplace_back();
+  def_[id] = static_cast<std::uint32_t>(nodes_.size());
+  node.output = id;
+  node.args_begin = static_cast<std::uint32_t>(args_.size());
+  for (std::string_view arg : args) args_.push_back(intern(arg));
+  node.args_end = static_cast<std::uint32_t>(args_.size());
+  node.pos = pos_of(loc);
+  return node;
+}
+
+void GraphBuilder::add_gate(std::string_view out, nl::CellType type,
+                            std::span<const std::string_view> args,
+                            const Loc& loc) {
+  push_node(out, args, loc).type = type;
+}
+
+void GraphBuilder::add_cell(std::string_view out, const LibCell* cell,
+                            std::span<const std::string_view> args,
+                            const Loc& loc) {
+  if (cell->builtin) return add_gate(out, *cell->builtin, args, loc);
+  Node& node = push_node(out, args, loc);
+  node.kind = Node::Kind::Cell;
+  node.cell = cell;
+}
+
+void GraphBuilder::add_node(std::string_view out,
+                            std::span<const std::string_view> args,
                             const Loc& loc, EmitFn emit) {
-  if (node_by_output_.count(output))
-    fail_at(loc, "net '" + output + "' defined twice");
-  if (input_locs_.count(output))
-    fail_at(loc, "input '" + output + "' is also driven");
-  Node node;
-  node.output = std::move(output);
-  node.args = std::move(args);
-  node.loc = loc;
-  node.emit = std::move(emit);
-  node_by_output_.emplace(node.output, nodes_.size());
-  nodes_.push_back(std::move(node));
+  Node& node = push_node(out, args, loc);
+  node.kind = Node::Kind::Custom;
+  node.emit = static_cast<std::uint32_t>(emits_.size());
+  emits_.push_back(std::move(emit));
 }
 
-bool GraphBuilder::defines(const std::string& name) const {
-  return node_by_output_.count(name) || input_locs_.count(name);
+nl::Var GraphBuilder::emit(nl::Netlist& netlist, const Node& node,
+                           std::span<const nl::Var> args) {
+  const std::string& out = name(node.output);
+  switch (node.kind) {
+    case Node::Kind::Gate:
+      return netlist.add_gate(node.type, {args.begin(), args.end()}, out);
+    case Node::Kind::Cell:
+      return opt::expand_cell_function(netlist, *node.cell, args, out);
+    case Node::Kind::Custom:
+      return emits_[node.emit](netlist, args, out);
+  }
+  GFRE_ASSERT(false, "unreachable node kind");
+  return 0;
 }
 
-void GraphBuilder::instantiate(nl::Netlist& netlist, std::size_t root) {
-  if (nodes_[root].state == 2) return;
-  // Iterative DFS: frame = (node index, next argument to resolve).  Deep
-  // XOR chains in crypto-scale netlists overflow the call stack otherwise.
+void GraphBuilder::instantiate(nl::Netlist& netlist) {
+  // Iterative DFS from each node in insertion order: frame = (node index,
+  // next argument to resolve).  Deep XOR chains in crypto-scale netlists
+  // overflow the call stack otherwise.
   struct Frame {
-    std::size_t node;
-    std::size_t next_arg;
+    std::uint32_t node;
+    std::uint32_t next_arg;
   };
   std::vector<Frame> stack;
-  stack.push_back({root, 0});
-  nodes_[root].state = 1;
-  while (!stack.empty()) {
-    Frame& fr = stack.back();
-    Node& node = nodes_[fr.node];
-    bool descended = false;
-    while (fr.next_arg < node.args.size()) {
-      const std::string& arg = node.args[fr.next_arg];
-      ++fr.next_arg;
-      if (netlist.find_var(arg) && !node_by_output_.count(arg)) continue;
-      auto it = node_by_output_.find(arg);
-      if (it == node_by_output_.end()) {
-        if (input_locs_.count(arg)) continue;  // inputs pre-created
-        fail_at(node.loc, "undefined net '" + arg + "'");
+  std::vector<nl::Var> args;
+  for (std::uint32_t root = 0; root < nodes_.size(); ++root) {
+    if (nodes_[root].state == 2) continue;
+    stack.push_back({root, nodes_[root].args_begin});
+    nodes_[root].state = 1;
+    while (!stack.empty()) {
+      Frame& fr = stack.back();
+      Node& node = nodes_[fr.node];
+      bool descended = false;
+      while (fr.next_arg < node.args_end) {
+        const NameId arg = args_[fr.next_arg++];
+        const std::uint32_t def = def_[arg];
+        if (def == kInput) continue;  // inputs pre-created
+        if (def == 0)
+          fail_at(loc_of(node.pos), "undefined net '" + name(arg) + "'");
+        Node& dep = nodes_[def - 1];
+        if (dep.state == 2) continue;
+        if (dep.state == 1)
+          fail_at(loc_of(node.pos),
+                  "combinational cycle through '" + name(arg) + "'");
+        dep.state = 1;
+        stack.push_back({def - 1, dep.args_begin});
+        descended = true;
+        break;
       }
-      Node& dep = nodes_[it->second];
-      if (dep.state == 2) continue;
-      if (dep.state == 1)
-        fail_at(node.loc, "combinational cycle through '" + arg + "'");
-      dep.state = 1;
-      stack.push_back({it->second, 0});
-      descended = true;
-      break;
+      if (descended) continue;
+      // All args resolved: emit this node's gates.
+      args.clear();
+      for (std::uint32_t i = node.args_begin; i < node.args_end; ++i)
+        args.push_back(var_[args_[i]]);
+      const nl::Var v = emit(netlist, node, args);
+      GFRE_ASSERT(netlist.var_name(v) == name(node.output),
+                  "frontend node for '" << name(node.output)
+                                        << "' did not create its net");
+      var_[node.output] = v;
+      node.state = 2;
+      stack.pop_back();
     }
-    if (descended) continue;
-    // All args resolved: emit this node's gates.
-    std::vector<nl::Var> args;
-    args.reserve(node.args.size());
-    for (const std::string& arg : node.args) {
-      auto v = netlist.find_var(arg);
-      if (!v) fail_at(node.loc, "undefined net '" + arg + "'");
-      args.push_back(*v);
-    }
-    node.emit(netlist, args);
-    GFRE_ASSERT(netlist.find_var(node.output).has_value(),
-                "frontend node for '" << node.output
-                                      << "' did not create its net");
-    node.state = 2;
-    stack.pop_back();
   }
 }
 
 nl::Netlist GraphBuilder::build() {
-  nl::Netlist netlist(model_name_);
+  nl::Netlist netlist;
   // Reserve every node output so auto-generated helper names never take a
   // declared one, regardless of instantiation order.
-  for (const Node& node : nodes_) netlist.reserve_name(node.output);
-  for (const auto& [name, loc] : inputs_) netlist.add_input(name);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) instantiate(netlist, i);
-  for (const auto& [name, loc] : outputs_) {
-    auto v = netlist.find_var(name);
-    if (!v) fail_at(loc, "undriven output '" + name + "'");
-    netlist.mark_output(*v);
+  for (const Node& node : nodes_) netlist.reserve_name(name(node.output));
+  var_.assign(names_.size(), 0);
+  for (NameId id : inputs_) var_[id] = netlist.add_input(name(id));
+  instantiate(netlist);
+  for (const auto& [id, pos] : outputs_) {
+    if (def_[id] == 0)
+      fail_at(loc_of(pos), "undriven output '" + name(id) + "'");
+    netlist.mark_output(var_[id]);
   }
-  netlist.validate();
   return netlist;
 }
 

@@ -1,12 +1,15 @@
-// Name-level netlist construction shared by every frontend.
+// Id-level netlist construction shared by every frontend.
 //
-// Parsers collect abstract nodes — "net <output> is computed from nets
-// <args> by <emit>" — in source order, plus declared inputs and outputs.
-// build() then instantiates a Netlist by depth-first dependency traversal,
-// so statements may appear in any order and every structural diagnostic
-// (undefined net, double definition, combinational cycle, driven input,
-// undriven output) is produced by one implementation with the source
-// location of the offending statement.
+// Parsers declare inputs and outputs and add nodes — "net <output> is
+// computed from nets <args> by <what to emit>" — in source order.  Each
+// net name is interned once, when an add_* call first sees it; a node is a
+// plain record over name ids.  build() instantiates a Netlist by a
+// depth-first traversal over those ids, so statements may appear in any
+// order and every structural diagnostic (undefined net, double
+// definition, combinational cycle, driven input, undriven output) comes
+// from one implementation with the source location of the statement.
+// Builtin gates and library-cell expansions are emitted here; only
+// Verilog assign expressions and BLIF covers bring their own EmitFn.
 //
 // The traversal visits nodes in insertion order and resolves each node's
 // args first, which means a file whose statements are already in
@@ -14,64 +17,102 @@
 // property the hierarchical-vs-flat differential tests lean on.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "frontend/cell_library.hpp"
 #include "frontend/source.hpp"
 #include "netlist/netlist.hpp"
 
 namespace gfre::frontend {
 
-/// Emits the gate(s) computing one node.  `args` are the resolved nets for
-/// the node's argument names, in order.  The callback must create a net
-/// named exactly the node's output name (the builder reserves the name
-/// beforehand and asserts afterwards).  It may create auxiliary
-/// auto-named gates.
-using EmitFn =
-    std::function<void(nl::Netlist&, const std::vector<nl::Var>& args)>;
+/// Emits the gate(s) computing one node and returns the net named `out`.
+/// `args` are the resolved nets for the node's argument names, in order.
+/// It may create auxiliary auto-named gates.
+using EmitFn = std::function<nl::Var(
+    nl::Netlist&, std::span<const nl::Var> args, const std::string& out)>;
 
 class GraphBuilder {
  public:
-  GraphBuilder(std::string model_name, std::string file);
+  /// `file` names the main source in diagnostics.
+  explicit GraphBuilder(std::string file);
+  // names_ points into ids_, so a copy would point into the original.
+  GraphBuilder(const GraphBuilder&) = delete;
+  GraphBuilder& operator=(const GraphBuilder&) = delete;
 
   /// Declares a primary input (declaration order = Var id order).
-  void add_input(const std::string& name, const Loc& loc);
+  void add_input(std::string_view name, const Loc& loc);
 
   /// Declares a primary output (order significant).
-  void add_output(const std::string& name, const Loc& loc);
+  void add_output(std::string_view name, const Loc& loc);
 
-  /// Adds a combinational node driving `output` from `args`.
-  void add_node(std::string output, std::vector<std::string> args,
+  /// `out` is one builtin gate of `type` over `args`.
+  void add_gate(std::string_view out, nl::CellType type,
+                std::span<const std::string_view> args, const Loc& loc);
+
+  /// `out` is an instance of library cell `cell` (one arg per input pin):
+  /// its builtin gate when it has one, else its structural expansion.
+  void add_cell(std::string_view out, const LibCell* cell,
+                std::span<const std::string_view> args, const Loc& loc);
+
+  /// `out` is whatever `emit` builds from `args`.
+  void add_node(std::string_view out, std::span<const std::string_view> args,
                 const Loc& loc, EmitFn emit);
-
-  /// True when `name` is a declared input or an added node output.
-  bool defines(const std::string& name) const;
-
-  std::size_t num_nodes() const { return nodes_.size(); }
 
   /// Instantiates the netlist; throws ParseError on structural problems.
   nl::Netlist build();
 
  private:
-  struct Node {
-    std::string output;
-    std::vector<std::string> args;
-    Loc loc;
-    EmitFn emit;
-    unsigned char state = 0;  // 0 unvisited, 1 visiting, 2 done
+  using NameId = std::uint32_t;
+
+  /// A source position with its file as an index into files_.
+  struct Pos {
+    std::uint32_t file = 0;
+    int line = 0;
+    int column = 0;
   };
 
-  void instantiate(nl::Netlist& netlist, std::size_t idx);
+  struct Node {
+    enum class Kind : unsigned char { Gate, Cell, Custom };
+    NameId output = 0;
+    std::uint32_t args_begin = 0;  ///< [args_begin, args_end) in args_
+    std::uint32_t args_end = 0;
+    Pos pos;
+    Kind kind = Kind::Gate;
+    nl::CellType type{};            ///< Gate
+    unsigned char state = 0;        ///< 0 unvisited, 1 visiting, 2 done
+    const LibCell* cell = nullptr;  ///< Cell
+    std::uint32_t emit = 0;         ///< Custom: index into emits_
+  };
 
-  std::string model_name_;
-  std::string file_;
-  std::vector<std::pair<std::string, Loc>> inputs_;
-  std::vector<std::pair<std::string, Loc>> outputs_;
+  NameId intern(std::string_view name);
+  Pos pos_of(const Loc& loc);
+  Loc loc_of(const Pos& pos) const;
+  const std::string& name(NameId id) const { return *names_[id]; }
+  /// Registers a Gate node for `out` (callers retag it) after the
+  /// double-definition checks.
+  Node& push_node(std::string_view out, std::span<const std::string_view> args,
+                  const Loc& loc);
+  nl::Var emit(nl::Netlist& netlist, const Node& node,
+               std::span<const nl::Var> args);
+  void instantiate(nl::Netlist& netlist);
+
+  std::vector<std::string> files_;  ///< one entry per run of statements
+  std::unordered_map<std::string, NameId> ids_;
+  std::vector<const std::string*> names_;  ///< id -> key in ids_
+  /// Per id: 0 undefined, kInput, or driving node index + 1.
+  std::vector<std::uint32_t> def_;
+  std::vector<NameId> inputs_;
+  std::vector<std::pair<NameId, Pos>> outputs_;
   std::vector<Node> nodes_;
-  std::unordered_map<std::string, std::size_t> node_by_output_;
-  std::unordered_map<std::string, Loc> input_locs_;
+  std::vector<NameId> args_;
+  std::vector<EmitFn> emits_;
+  std::vector<nl::Var> var_;  ///< per id, filled by build()
 };
 
 }  // namespace gfre::frontend

@@ -67,8 +67,6 @@ class LineScanner {
   /// Throws ParseError on an unterminated block comment.
   std::optional<LogicalLine> next();
 
-  const std::string& file() const { return file_; }
-
  private:
   std::string_view text_;
   std::string file_;

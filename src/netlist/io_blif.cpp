@@ -1,9 +1,12 @@
 #include "netlist/io_blif.hpp"
 
+#include <algorithm>
 #include <array>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 
 #include "frontend/graph.hpp"
@@ -69,28 +72,40 @@ void write_cover(std::ostream& out, const Gate& gate) {
 
 // -- Reading ---------------------------------------------------------------
 
-struct NamesNode {
-  std::vector<std::string> signals;  // inputs..., output last
-  std::vector<std::string> rows;     // cover rows like "1-0 1"
-  frontend::Loc loc;
+/// The cover rows of one .names block ("1-0 1"), and the line of its
+/// directive for diagnostics.
+struct Cover {
+  std::vector<std::string> rows;
+  int line = 0;
 };
 
-std::vector<std::string> split_ws(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream iss(line);
-  std::string token;
-  while (iss >> token) tokens.push_back(token);
+/// Whitespace-separated tokens of `line`, as views into it.
+std::vector<std::string_view> split_ws(std::string_view line) {
+  std::vector<std::string_view> tokens;
+  std::size_t pos = 0;
+  while (true) {
+    pos = line.find_first_not_of(" \t\r\n\v\f", pos);
+    if (pos == std::string_view::npos) break;
+    const std::size_t end = std::min(line.find_first_of(" \t\r\n\v\f", pos),
+                                     line.size());
+    tokens.push_back(line.substr(pos, end - pos));
+    pos = end;
+  }
   return tokens;
 }
 
-/// Builds gates for one .names node.  `inputs` are the resolved argument
-/// nets (cover columns, in order).  Shared `inv_cache` keeps one INV per
-/// inverted literal across the whole file.
-void synthesize_node(Netlist& netlist, const NamesNode& node,
-                     const std::vector<Var>& inputs,
-                     std::unordered_map<Var, Var>& inv_cache) {
-  const std::size_t n = node.signals.size() - 1;
-  const std::string& out_name = node.signals.back();
+/// Builds the gates for one .names node and returns the net named
+/// `out_name`.  `inputs` are the resolved argument nets (cover columns, in
+/// order).  Shared `inv_cache` keeps one INV per inverted literal across
+/// the whole file.
+Var synthesize_node(Netlist& netlist, const Cover& cover,
+                    std::span<const Var> inputs, const std::string& out_name,
+                    const std::string& file,
+                    std::unordered_map<Var, Var>& inv_cache) {
+  const std::size_t n = inputs.size();
+  const auto fail = [&](const std::string& msg) {
+    frontend::fail_at(frontend::Loc{file, cover.line, 0}, msg);
+  };
 
   auto inverted = [&](Var v) -> Var {
     const auto it = inv_cache.find(v);
@@ -102,22 +117,22 @@ void synthesize_node(Netlist& netlist, const NamesNode& node,
 
   // Parse rows into (mask, polarity) pairs.
   struct Row {
-    std::string bits;
+    std::string_view bits;
     bool value;
   };
   std::vector<Row> rows;
-  for (const auto& text : node.rows) {
-    auto tokens = split_ws(text);
+  for (const std::string& text : cover.rows) {
+    const auto tokens = split_ws(text);
     if (n == 0) {
       if (tokens.size() != 1 || (tokens[0] != "0" && tokens[0] != "1")) {
-        frontend::fail_at(node.loc, "bad constant cover row");
+        fail("bad constant cover row");
       }
-      rows.push_back(Row{"", tokens[0] == "1"});
+      rows.push_back(Row{{}, tokens[0] == "1"});
       continue;
     }
     if (tokens.size() != 2 || tokens[0].size() != n ||
         (tokens[1] != "0" && tokens[1] != "1")) {
-      frontend::fail_at(node.loc, "bad cover row '" + text + "'");
+      fail("bad cover row '" + text + "'");
     }
     rows.push_back(Row{tokens[0], tokens[1] == "1"});
   }
@@ -128,18 +143,14 @@ void synthesize_node(Netlist& netlist, const NamesNode& node,
     if (i == 0) {
       polarity = rows[i].value;
     } else if (rows[i].value != polarity) {
-      frontend::fail_at(node.loc, "mixed cover polarities");
+      fail("mixed cover polarities");
     }
   }
 
-  if (rows.empty()) {
-    netlist.add_gate(CellType::Const0, {}, out_name);
-    return;
-  }
+  if (rows.empty()) return netlist.add_gate(CellType::Const0, {}, out_name);
   if (n == 0) {
-    netlist.add_gate(polarity ? CellType::Const1 : CellType::Const0, {},
-                     out_name);
-    return;
+    return netlist.add_gate(polarity ? CellType::Const1 : CellType::Const0,
+                            {}, out_name);
   }
 
   // Each row -> product term; OR of terms; invert if polarity is 0.
@@ -152,7 +163,7 @@ void synthesize_node(Netlist& netlist, const NamesNode& node,
       } else if (row.bits[i] == '0') {
         literals.push_back(inverted(inputs[i]));
       } else if (row.bits[i] != '-') {
-        frontend::fail_at(node.loc, "bad cover literal '" + row.bits + "'");
+        fail("bad cover literal '" + std::string(row.bits) + "'");
       }
     }
     if (literals.empty()) {
@@ -191,7 +202,7 @@ void synthesize_node(Netlist& netlist, const NamesNode& node,
                             name);
   };
 
-  reduce_or(std::move(terms), out_name, !polarity);
+  return reduce_or(std::move(terms), out_name, !polarity);
 }
 
 }  // namespace
@@ -222,33 +233,35 @@ Netlist read_blif(const std::string& text, const std::string& filename) {
                            .block_comments = true,
                            .backslash_continuation = true});
   std::string model = "top";
-  frontend::GraphBuilder builder(model, filename);
-  // One INV per inverted literal, shared across the whole file.  On the
-  // heap because node emit closures run inside builder.build(), after this
-  // frame may have created many of them.
-  auto inv_cache = std::make_shared<std::unordered_map<Var, Var>>();
-  // The .names block being collected: rows attach to the last node until
-  // the next directive.
-  std::shared_ptr<NamesNode> current;
+  frontend::GraphBuilder builder(filename);
+  // One INV per inverted literal, shared across the whole file.
+  std::unordered_map<Var, Var> inv_cache;
+  // The .names block being collected: rows attach to it until the next
+  // directive.
+  std::vector<std::string> signals;  // inputs..., output last
+  std::shared_ptr<Cover> current;
+  frontend::Loc cover_loc{filename, 0, 0};
 
   auto finish_current = [&]() {
     if (!current) return;
-    std::shared_ptr<NamesNode> node = std::move(current);
-    std::vector<std::string> args(node->signals.begin(),
-                                  node->signals.end() - 1);
-    std::string out_name = node->signals.back();
-    builder.add_node(std::move(out_name), std::move(args), node->loc,
-                     [node, inv_cache](Netlist& netlist,
-                                       const std::vector<Var>& inputs) {
-                       synthesize_node(netlist, *node, inputs, *inv_cache);
-                     });
+    const std::vector<std::string_view> names(signals.begin(), signals.end());
+    cover_loc.line = current->line;
+    builder.add_node(
+        names.back(), std::span(names).first(names.size() - 1), cover_loc,
+        [cover = std::move(current), &inv_cache, &filename](
+            Netlist& netlist, std::span<const Var> inputs,
+            const std::string& out) {
+          return synthesize_node(netlist, *cover, inputs, out, filename,
+                                 inv_cache);
+        });
   };
 
+  frontend::Loc loc{filename, 0, 0};
   while (auto logical = scanner.next()) {
-    frontend::Loc loc{filename, logical->line, 0};
-    auto tokens = split_ws(logical->text);
+    loc.line = logical->line;
+    const auto tokens = split_ws(logical->text);
     if (tokens.empty()) continue;
-    const std::string& keyword = tokens[0];
+    const std::string_view keyword = tokens[0];
     if (keyword == ".model") {
       finish_current();
       if (tokens.size() >= 2) model = tokens[1];
@@ -263,16 +276,17 @@ Netlist read_blif(const std::string& text, const std::string& filename) {
     } else if (keyword == ".names") {
       finish_current();
       if (tokens.size() < 2) frontend::fail_at(loc, ".names without signals");
-      current = std::make_shared<NamesNode>();
-      current->signals.assign(tokens.begin() + 1, tokens.end());
-      current->loc = loc;
+      signals.assign(tokens.begin() + 1, tokens.end());
+      current = std::make_shared<Cover>();
+      current->line = loc.line;
     } else if (keyword == ".end") {
       finish_current();
     } else if (keyword[0] == '.') {
-      frontend::fail_at(loc, "unsupported BLIF construct '" + keyword + "'");
+      frontend::fail_at(loc, "unsupported BLIF construct '" +
+                                 std::string(keyword) + "'");
     } else {
       if (!current) frontend::fail_at(loc, "cover row outside .names");
-      current->rows.push_back(logical->text);
+      current->rows.push_back(std::move(logical->text));
     }
   }
   finish_current();

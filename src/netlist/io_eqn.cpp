@@ -2,13 +2,13 @@
 
 #include <cctype>
 #include <fstream>
+#include <span>
 #include <sstream>
-#include <unordered_map>
+#include <string_view>
 
 #include "frontend/cell_library.hpp"
 #include "frontend/graph.hpp"
 #include "frontend/source.hpp"
-#include "opt/passes.hpp"
 #include "util/error.hpp"
 
 namespace gfre::nl {
@@ -44,96 +44,50 @@ bool is_ident_char(char c) {
          c == '[' || c == ']' || c == '.' || c == '$';
 }
 
-std::vector<std::string> tokenize_names(const std::string& text) {
-  std::vector<std::string> names;
-  std::string current;
-  for (char c : text) {
-    if (is_ident_char(c)) {
-      current.push_back(c);
-    } else if (!current.empty()) {
-      names.push_back(current);
-      current.clear();
-    }
+/// Identifier tokens of `text`, as views into it.
+std::vector<std::string_view> tokenize_names(std::string_view text) {
+  std::vector<std::string_view> names;
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i <= text.size(); ++i) {
+    if (i < text.size() && is_ident_char(text[i])) continue;
+    if (i > begin) names.push_back(text.substr(begin, i - begin));
+    begin = i + 1;
   }
-  if (!current.empty()) names.push_back(current);
   return names;
 }
 
-/// Resolves an operator name to the gate(s) it creates and registers the
-/// node: builtin mnemonics become single gates; with a library loaded,
-/// library cells resolve to their builtin equivalent or expand
-/// structurally.
-void add_equation_node(frontend::GraphBuilder& builder, std::string lhs,
-                       std::string op, std::vector<std::string> args,
+/// Registers the node for `lhs = op(args)`: builtin mnemonics become single
+/// gates; with a library loaded, library cells resolve to their builtin
+/// equivalent or expand structurally.
+void add_equation_node(frontend::GraphBuilder& builder, std::string_view lhs,
+                       std::string_view op,
+                       std::span<const std::string_view> args,
                        const frontend::Loc& loc,
                        const frontend::CellLibrary* library) {
+  const std::string op_name(op);
   CellType type{};
-  bool builtin = true;
   try {
-    type = cell_from_name(op);
+    type = cell_from_name(op_name);
   } catch (const InvalidArgument& e) {
-    builtin = false;
     if (!library) frontend::fail_at(loc, e.what());
-  }
-  if (builtin) {
-    if (!arity_ok(type, args.size()))
-      frontend::fail_at(loc, "bad arity for " + op);
-    std::string out = lhs;
-    builder.add_node(std::move(lhs), std::move(args), loc,
-                     [type, out](Netlist& netlist,
-                                 const std::vector<Var>& vars) {
-                       netlist.add_gate(type, vars, out);
-                     });
+    const frontend::LibCell* cell = library->find(op_name);
+    if (!cell) {
+      // Match the builtin mnemonic error shape, mentioning the library.
+      frontend::fail_at(loc, "unknown cell '" + op_name +
+                                 "' (not builtin, not in library '" +
+                                 library->name() + "')");
+    }
+    if (args.size() != cell->inputs.size())
+      frontend::fail_at(loc, "cell '" + op_name + "' expects " +
+                                 std::to_string(cell->inputs.size()) +
+                                 " arguments, got " +
+                                 std::to_string(args.size()));
+    builder.add_cell(lhs, cell, args, loc);
     return;
   }
-  const frontend::LibCell* cell = library->find(op);
-  if (!cell) {
-    // Match the builtin mnemonic error shape, mentioning the library.
-    frontend::fail_at(loc, "unknown cell '" + op + "' (not builtin, not in "
-                           "library '" + library->name() + "')");
-  }
-  if (args.size() != cell->inputs.size())
-    frontend::fail_at(loc, "cell '" + op + "' expects " +
-                               std::to_string(cell->inputs.size()) +
-                               " arguments, got " +
-                               std::to_string(args.size()));
-  if (cell->builtin) {
-    CellType t = *cell->builtin;
-    std::string out = lhs;
-    builder.add_node(std::move(lhs), std::move(args), loc,
-                     [t, out](Netlist& netlist, const std::vector<Var>& vars) {
-                       netlist.add_gate(t, vars, out);
-                     });
-    return;
-  }
-  std::string out = lhs;
-  builder.add_node(
-      std::move(lhs), std::move(args), loc,
-      [cell, out](Netlist& netlist, const std::vector<Var>& vars) {
-        std::unordered_map<std::string, Var> by_name;
-        std::vector<std::string> actuals;
-        for (Var v : vars) {
-          std::string n = netlist.var_name(v);
-          by_name.emplace(n, v);
-          actuals.push_back(std::move(n));
-        }
-        opt::EmitGateFn emit = [&](CellType t,
-                                   std::vector<std::string> input_names,
-                                   std::string output) {
-          std::vector<Var> inputs;
-          for (const std::string& n : input_names) {
-            auto it = by_name.find(n);
-            GFRE_ASSERT(it != by_name.end(),
-                        "expansion references unknown net " << n);
-            inputs.push_back(it->second);
-          }
-          Var v = netlist.add_gate(t, std::move(inputs), output);
-          std::string vname = netlist.var_name(v);
-          by_name.emplace(vname, v);
-          return vname;
-        };
-        opt::expand_cell_function(*cell, actuals, out, emit);
-      });
+  if (!arity_ok(type, args.size()))
+    frontend::fail_at(loc, "bad arity for " + op_name);
+  builder.add_gate(lhs, type, args, loc);
 }
 
 }  // namespace
@@ -145,73 +99,70 @@ Netlist read_eqn(const std::string& text, const std::string& filename,
       frontend::LineSyntax{.hash_comments = true, .slash_comments = true,
                            .block_comments = true});
   std::string model = "top";
-  frontend::GraphBuilder builder(model, filename);
+  frontend::GraphBuilder builder(filename);
   const frontend::CellLibrary* library = options.library.get();
 
+  frontend::Loc loc{filename, 0, 0};
   while (auto logical = scanner.next()) {
-    std::string line = logical->text;
-    frontend::Loc loc{filename, logical->line, 0};
-    if (!line.empty() && line.back() == ';') line.pop_back();
+    std::string_view line = logical->text;
+    loc.line = logical->line;
+    if (!line.empty() && line.back() == ';') line.remove_suffix(1);
     while (!line.empty() &&
            std::isspace(static_cast<unsigned char>(line.back())))
-      line.pop_back();
+      line.remove_suffix(1);
     if (line.empty()) continue;
 
-    if (line.rfind("model ", 0) == 0) {
-      model = line.substr(6);
-      while (!model.empty() &&
-             std::isspace(static_cast<unsigned char>(model.front())))
-        model.erase(model.begin());
+    if (line.starts_with("model ")) {
+      line.remove_prefix(6);
+      while (!line.empty() &&
+             std::isspace(static_cast<unsigned char>(line.front())))
+        line.remove_prefix(1);
+      model = line;
       continue;
     }
-    if (line.rfind("input", 0) == 0 &&
+    if (line.starts_with("input") &&
         (line.size() == 5 || !is_ident_char(line[5]))) {
-      for (auto& n : tokenize_names(line.substr(5)))
+      for (std::string_view n : tokenize_names(line.substr(5)))
         builder.add_input(n, loc);
       continue;
     }
-    if (line.rfind("output", 0) == 0 &&
+    if (line.starts_with("output") &&
         (line.size() == 6 || !is_ident_char(line[6]))) {
-      for (auto& n : tokenize_names(line.substr(6)))
+      for (std::string_view n : tokenize_names(line.substr(6)))
         builder.add_output(n, loc);
       continue;
     }
     const auto eq = line.find('=');
-    if (eq == std::string::npos)
-      frontend::fail_at(loc, "unrecognized statement: " + line);
-    auto lhs_names = tokenize_names(line.substr(0, eq));
+    if (eq == std::string_view::npos)
+      frontend::fail_at(loc, "unrecognized statement: " + std::string(line));
+    const auto lhs_names = tokenize_names(line.substr(0, eq));
     if (lhs_names.size() != 1)
       frontend::fail_at(loc, "bad equation left-hand side");
-    std::string lhs = lhs_names[0];
-    std::string rhs = line.substr(eq + 1);
+    const std::string_view rhs = line.substr(eq + 1);
     const auto paren = rhs.find('(');
-    if (paren == std::string::npos) {
+    if (paren == std::string_view::npos) {
       // Constant form: "x = 0" / "x = 1".
-      auto names = tokenize_names(rhs);
+      const auto names = tokenize_names(rhs);
       if (names.size() == 1 && (names[0] == "0" || names[0] == "1")) {
-        add_equation_node(builder, std::move(lhs),
+        add_equation_node(builder, lhs_names[0],
                           names[0] == "0" ? "CONST0" : "CONST1", {}, loc,
                           library);
         continue;
       }
       frontend::fail_at(loc, "expected OP(args) or 0/1");
     }
-    auto op_names = tokenize_names(rhs.substr(0, paren));
+    const auto op_names = tokenize_names(rhs.substr(0, paren));
     if (op_names.size() != 1) frontend::fail_at(loc, "bad operator name");
     const auto close = rhs.rfind(')');
-    if (close == std::string::npos || close < paren)
+    if (close == std::string_view::npos || close < paren)
       frontend::fail_at(loc, "unbalanced parentheses");
-    add_equation_node(builder, std::move(lhs), op_names[0],
+    add_equation_node(builder, lhs_names[0], op_names[0],
                       tokenize_names(rhs.substr(paren + 1, close - paren - 1)),
                       loc, library);
   }
   Netlist netlist = builder.build();
   netlist.set_name(model);
   return netlist;
-}
-
-Netlist read_eqn(const std::string& text, const std::string& filename) {
-  return read_eqn(text, filename, frontend::FrontendOptions{});
 }
 
 void write_eqn_file(const Netlist& netlist, const std::string& path) {

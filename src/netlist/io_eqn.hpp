@@ -26,15 +26,13 @@ namespace gfre::nl {
 /// Serializes a netlist to .eqn text.
 std::string write_eqn(const Netlist& netlist);
 
-/// Parses .eqn text; `filename` is used in diagnostics only.
+/// Parses .eqn text; `filename` is used in diagnostics only.  Operator
+/// names outside the builtin mnemonics are resolved against
+/// `options.library` (single gate when the cell matches a builtin truth
+/// table, structural expansion otherwise).
 Netlist read_eqn(const std::string& text,
-                 const std::string& filename = "<eqn>");
-
-/// Library-aware parse: operator names outside the builtin mnemonics are
-/// resolved against `options.library` (single gate when the cell matches a
-/// builtin truth table, structural expansion otherwise).
-Netlist read_eqn(const std::string& text, const std::string& filename,
-                 const frontend::FrontendOptions& options);
+                 const std::string& filename = "<eqn>",
+                 const frontend::FrontendOptions& options = {});
 
 /// File helpers.
 void write_eqn_file(const Netlist& netlist, const std::string& path);

@@ -4,16 +4,16 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "frontend/cell_library.hpp"
 #include "frontend/graph.hpp"
 #include "frontend/source.hpp"
-#include "opt/passes.hpp"
 #include "util/error.hpp"
 
 namespace gfre::nl {
@@ -706,7 +706,7 @@ class Elaborator {
   Elaborator(const std::vector<Module>& modules,
              const frontend::FrontendOptions& options,
              const std::string& filename)
-      : options_(options), filename_(filename) {
+      : options_(options), filename_(filename), builder_(filename) {
     for (const Module& m : modules) {
       if (!by_name_.emplace(m.name, &m).second)
         frontend::fail_at(m.loc, "module '" + m.name + "' defined twice");
@@ -715,12 +715,12 @@ class Elaborator {
 
   Netlist run() {
     const Module& top = select_top();
-    builder_ =
-        std::make_unique<frontend::GraphBuilder>(top.name, filename_);
     Scope scope;
     elaborate_module(top, scope, /*overrides=*/{}, /*bindings=*/nullptr,
                      top.loc, /*is_top=*/true);
-    return builder_->build();
+    Netlist netlist = builder_.build();
+    netlist.set_name(top.name);
+    return netlist;
   }
 
  private:
@@ -843,13 +843,13 @@ class Elaborator {
         const Symbol& sym = scope.nets.at(port);
         if (sym.dir == Dir::Input)
           for (const std::string& bit : sym.bits)
-            builder_->add_input(bit, sym.loc);
+            builder_.add_input(bit, sym.loc);
       }
       for (const std::string& port : m.header_ports) {
         const Symbol& sym = scope.nets.at(port);
         if (sym.dir == Dir::Output)
           for (const std::string& bit : sym.bits)
-            builder_->add_output(bit, sym.loc);
+            builder_.add_output(bit, sym.loc);
       }
     }
 
@@ -914,29 +914,26 @@ class Elaborator {
     std::string name = one ? "$const1" : "$const0";
     bool& made = one ? made_const1_ : made_const0_;
     if (!made) {
-      builder_->add_node(
-          name, {}, Loc{filename_, 0, 0},
-          [one, name](Netlist& netlist, const std::vector<Var>&) {
-            netlist.add_gate(one ? CellType::Const1 : CellType::Const0, {},
-                             name);
-          });
+      builder_.add_gate(name, one ? CellType::Const1 : CellType::Const0, {},
+                         Loc{filename_, 0, 0});
       made = true;
     }
     return name;
   }
 
   void elaborate_assign(const Assign& a, Scope& scope) {
-    std::string lhs = resolve_bit(a.lhs, scope);
+    const std::string lhs = resolve_bit(a.lhs, scope);
     // Resolve every leaf reference to its flat net name NOW — the emit
     // callback runs during build(), after this scope is gone.
     Expr rhs = flatten_expr(a.rhs, scope);
-    std::vector<std::string> args;
+    std::vector<std::string_view> args;
     collect_refs(rhs, args);
-    builder_->add_node(
-        lhs, args, a.loc,
-        [this, rhs, lhs](Netlist& netlist, const std::vector<Var>&) {
-          emit_expr(rhs, netlist, lhs);
-        });
+    builder_.add_node(lhs, args, a.loc,
+                       [rhs](Netlist& netlist, std::span<const Var> vars,
+                             const std::string& out) {
+                         std::size_t next = 0;
+                         return emit_expr(rhs, netlist, vars, next, out);
+                       });
   }
 
   /// Returns `e` with every Ref replaced by its resolved flat name.
@@ -951,8 +948,10 @@ class Elaborator {
     return out;
   }
 
-  /// Appends every leaf Ref name in a flattened expr to `args`.
-  void collect_refs(const Expr& e, std::vector<std::string>& args) {
+  /// Appends every leaf Ref name in a flattened expr to `args`, in the
+  /// order emit_expr consumes them.
+  static void collect_refs(const Expr& e,
+                           std::vector<std::string_view>& args) {
     if (e.kind == Expr::Kind::Ref) {
       args.push_back(e.name);
       return;
@@ -960,36 +959,40 @@ class Elaborator {
     for (const Expr& op : e.operands) collect_refs(op, args);
   }
 
-  /// Emits gates for a flattened expr; the root gate takes `name` (may be
-  /// "" = auto).
-  Var emit_expr(const Expr& e, Netlist& netlist, const std::string& name) {
+  /// Emits gates for a flattened expr whose leaf Refs resolve, in
+  /// collect_refs order, to vars[next...]; the root gate takes `name`
+  /// (may be "" = auto).
+  static Var emit_expr(const Expr& e, Netlist& netlist,
+                       std::span<const Var> vars, std::size_t& next,
+                       const std::string& name) {
+    auto sub = [&](const Expr& op) {
+      return emit_expr(op, netlist, vars, next, "");
+    };
     switch (e.kind) {
       case Expr::Kind::Ref: {
-        auto v = netlist.find_var(e.name);
-        GFRE_ASSERT(v.has_value(), "unresolved argument '" << e.name << "'");
-        if (name.empty()) return *v;
-        return netlist.add_gate(CellType::Buf, {*v}, name);
+        const Var v = vars[next++];
+        if (name.empty()) return v;
+        return netlist.add_gate(CellType::Buf, {v}, name);
       }
       case Expr::Kind::Const:
         return netlist.add_gate(
             e.const_one ? CellType::Const1 : CellType::Const0, {}, name);
       case Expr::Kind::Not:
-        return netlist.add_gate(
-            CellType::Inv, {emit_expr(e.operands[0], netlist, "")}, name);
+        return netlist.add_gate(CellType::Inv, {sub(e.operands[0])}, name);
       case Expr::Kind::And:
       case Expr::Kind::Or:
       case Expr::Kind::Xor: {
         CellType type = e.kind == Expr::Kind::And  ? CellType::And
                         : e.kind == Expr::Kind::Or ? CellType::Or
                                                    : CellType::Xor;
-        Var a = emit_expr(e.operands[0], netlist, "");
-        Var b = emit_expr(e.operands[1], netlist, "");
+        Var a = sub(e.operands[0]);
+        Var b = sub(e.operands[1]);
         return netlist.add_gate(type, {a, b}, name);
       }
       case Expr::Kind::Mux: {
-        Var s = emit_expr(e.operands[0], netlist, "");
-        Var d0 = emit_expr(e.operands[1], netlist, "");
-        Var d1 = emit_expr(e.operands[2], netlist, "");
+        Var s = sub(e.operands[0]);
+        Var d0 = sub(e.operands[1]);
+        Var d1 = sub(e.operands[2]);
         return netlist.add_gate(CellType::Mux, {s, d0, d1}, name);
       }
     }
@@ -1092,15 +1095,11 @@ class Elaborator {
       frontend::fail_at(inst.loc,
                         "wrong connection count for gate primitive '" +
                             inst.target + "'");
-    std::string out = connection_bit(inst.conns[0], scope);
+    const std::string out = connection_bit(inst.conns[0], scope);
     std::vector<std::string> args;
     for (std::size_t i = 1; i < inst.conns.size(); ++i)
       args.push_back(connection_bit(inst.conns[i], scope));
-    builder_->add_node(out, args, inst.loc,
-                       [type, out](Netlist& netlist,
-                                   const std::vector<Var>& vars) {
-                         netlist.add_gate(type, vars, out);
-                       });
+    builder_.add_gate(out, type, views(args), inst.loc);
   }
 
   std::string connection_bit(const Conn& conn, Scope& scope) {
@@ -1162,51 +1161,23 @@ class Elaborator {
       if (!pin_actual[i])
         frontend::fail_at(inst.loc, "cell '" + cell.name + "' input pin '" +
                                         cell.inputs[i] + "' is unconnected");
-    std::string out = out_actual
-                          ? *out_actual
-                          : scope.prefix + instance_prefix(inst) + "." +
-                                cell.output;
+    const std::string out = out_actual ? *out_actual
+                                       : scope.prefix + instance_prefix(inst) +
+                                             "." + cell.output;
     std::vector<std::string> args;
     for (const auto& a : pin_actual) args.push_back(*a);
-    const frontend::LibCell* cell_ptr = &cell;
-    builder_->add_node(
-        out, args, inst.loc,
-        [cell_ptr, out](Netlist& netlist, const std::vector<Var>& vars) {
-          if (cell_ptr->builtin) {
-            netlist.add_gate(*cell_ptr->builtin, vars, out);
-            return;
-          }
-          // No builtin equivalent: expand the cell function structurally.
-          std::unordered_map<std::string, Var> by_name;
-          std::vector<std::string> actual_names;
-          for (std::size_t i = 0; i < vars.size(); ++i) {
-            std::string n = netlist.var_name(vars[i]);
-            by_name.emplace(n, vars[i]);
-            actual_names.push_back(std::move(n));
-          }
-          opt::EmitGateFn emit = [&](CellType type,
-                                     std::vector<std::string> input_names,
-                                     std::string output) {
-            std::vector<Var> inputs;
-            for (const std::string& n : input_names) {
-              auto it = by_name.find(n);
-              GFRE_ASSERT(it != by_name.end(),
-                          "expansion references unknown net " << n);
-              inputs.push_back(it->second);
-            }
-            Var v = netlist.add_gate(type, std::move(inputs), output);
-            std::string vname = netlist.var_name(v);
-            by_name.emplace(vname, v);
-            return vname;
-          };
-          opt::expand_cell_function(*cell_ptr, actual_names, out, emit);
-        });
+    builder_.add_cell(out, &cell, views(args), inst.loc);
+  }
+
+  static std::vector<std::string_view> views(
+      const std::vector<std::string>& names) {
+    return {names.begin(), names.end()};
   }
 
   const frontend::FrontendOptions& options_;
   std::string filename_;
   std::unordered_map<std::string, const Module*> by_name_;
-  std::unique_ptr<frontend::GraphBuilder> builder_;
+  frontend::GraphBuilder builder_;
   std::vector<std::string> path_;  ///< module names on the elaboration stack
   bool made_const0_ = false;
   bool made_const1_ = false;
@@ -1221,10 +1192,6 @@ Netlist read_verilog(const std::string& text, const std::string& filename,
   if (modules.empty())
     throw ParseError(filename, 1, "no module definition found");
   return Elaborator(modules, options, filename).run();
-}
-
-Netlist read_verilog(const std::string& text, const std::string& filename) {
-  return read_verilog(text, filename, frontend::FrontendOptions{});
 }
 
 void write_verilog_file(const Netlist& netlist, const std::string& path) {

@@ -28,9 +28,8 @@ std::string write_verilog(const Netlist& netlist);
 /// Parses the structural Verilog subset; `filename` is used in
 /// diagnostics and as the base directory for `include resolution.
 Netlist read_verilog(const std::string& text,
-                     const std::string& filename = "<verilog>");
-Netlist read_verilog(const std::string& text, const std::string& filename,
-                     const frontend::FrontendOptions& options);
+                     const std::string& filename = "<verilog>",
+                     const frontend::FrontendOptions& options = {});
 
 void write_verilog_file(const Netlist& netlist, const std::string& path);
 Netlist read_verilog_file(const std::string& path);

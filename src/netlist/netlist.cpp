@@ -13,29 +13,38 @@ constexpr unsigned char kGrey = 1;
 constexpr unsigned char kBlack = 2;
 }  // namespace
 
-Var Netlist::new_var(const std::string& name, bool is_input) {
-  std::string final_name = name;
-  if (final_name.empty()) {
+Netlist::Names& Netlist::Names::operator=(const Names& other) {
+  by_name = other.by_name;
+  var_names.assign(other.var_names.size(), nullptr);
+  for (const auto& [name, v] : by_name)
+    if (v != kReserved) var_names[v] = &name;
+  return *this;
+}
+
+Var Netlist::new_var(const std::string& name) {
+  auto& by_name = names_.by_name;
+  const Var v = static_cast<Var>(names_.var_names.size());
+  std::pair<decltype(by_name.begin()), bool> slot;
+  if (name.empty()) {
     // Auto names must not collide with explicit or reserved names (e.g. a
     // parsed file whose nets were themselves auto-named "n<k>" by a
     // previous tool, or output names a rebuilding pass will need later).
     do {
-      final_name = "n" + std::to_string(next_auto_name_++);
-    } while (by_name_.find(final_name) != by_name_.end() ||
-             reserved_names_.find(final_name) != reserved_names_.end());
+      slot = by_name.try_emplace("n" + std::to_string(next_auto_name_++), v);
+    } while (!slot.second);
+  } else {
+    slot = by_name.try_emplace(name, v);
+    GFRE_ASSERT(slot.second || slot.first->second == Names::kReserved,
+                "duplicate net name '" << name << "'");
+    slot.first->second = v;
   }
-  GFRE_ASSERT(by_name_.find(final_name) == by_name_.end(),
-              "duplicate net name '" << final_name << "'");
-  const Var v = static_cast<Var>(var_names_.size());
-  var_names_.push_back(final_name);
-  var_is_input_.push_back(is_input);
+  names_.var_names.push_back(&slot.first->first);
   driver_.push_back(0);
-  by_name_.emplace(var_names_.back(), v);
   return v;
 }
 
 Var Netlist::add_input(const std::string& name) {
-  const Var v = new_var(name, /*is_input=*/true);
+  const Var v = new_var(name);
   inputs_.push_back(v);
   return v;
 }
@@ -48,7 +57,7 @@ Var Netlist::add_gate(CellType type, std::vector<Var> inputs,
   for (Var in : inputs) {
     GFRE_ASSERT(in < num_vars(), "gate input net " << in << " undeclared");
   }
-  const Var out = new_var(name, /*is_input=*/false);
+  const Var out = new_var(name);
   gates_.push_back(Gate{type, out, std::move(inputs)});
   driver_[out] = gates_.size();  // index + 1
   invalidate_cone_index();
@@ -61,17 +70,17 @@ void Netlist::mark_output(Var v) {
 }
 
 void Netlist::reserve_name(const std::string& name) {
-  if (!name.empty()) reserved_names_.insert(name);
+  if (!name.empty()) names_.by_name.try_emplace(name, Names::kReserved);
 }
 
 const std::string& Netlist::var_name(Var v) const {
   GFRE_ASSERT(v < num_vars(), "net " << v << " undeclared");
-  return var_names_[v];
+  return *names_.var_names[v];
 }
 
 bool Netlist::is_input(Var v) const {
   GFRE_ASSERT(v < num_vars(), "net " << v << " undeclared");
-  return var_is_input_[v];
+  return driver_[v] == 0;
 }
 
 std::optional<std::size_t> Netlist::driver(Var v) const {
@@ -81,8 +90,9 @@ std::optional<std::size_t> Netlist::driver(Var v) const {
 }
 
 std::optional<Var> Netlist::find_var(const std::string& name) const {
-  const auto it = by_name_.find(name);
-  if (it == by_name_.end()) return std::nullopt;
+  const auto it = names_.by_name.find(name);
+  if (it == names_.by_name.end() || it->second == Names::kReserved)
+    return std::nullopt;
   return it->second;
 }
 
@@ -238,7 +248,7 @@ std::vector<Var> Netlist::cone_inputs(Var root) const {
     seen[v] = true;
     const auto drv = driver(v);
     if (!drv.has_value()) {
-      if (var_is_input_[v]) result.push_back(v);
+      result.push_back(v);
       continue;
     }
     for (Var in : gates_[*drv].inputs) work.push_back(in);
@@ -277,22 +287,9 @@ std::size_t Netlist::xor2_equivalent_count() const {
 }
 
 void Netlist::validate() const {
-  for (const Gate& g : gates_) {
-    GFRE_ASSERT(arity_ok(g.type, g.inputs.size()),
-                "gate on net '" << var_name(g.output) << "' has bad arity");
-    GFRE_ASSERT(!var_is_input_[g.output],
-                "net '" << var_name(g.output) << "' is both input and driven");
-  }
-  for (Var out : outputs_) {
-    GFRE_ASSERT(out < num_vars(), "undeclared output net " << out);
-  }
-  // Every non-input net must have a driver; cycle check via topo sort.
-  for (Var v = 0; v < num_vars(); ++v) {
-    if (!var_is_input_[v] && driver_[v] == 0) {
-      throw Error("net '" + var_names_[v] + "' has no driver in netlist '" +
-                  name_ + "'");
-    }
-  }
+  // add_gate and mark_output already enforce unique names, existing
+  // inputs, arity and declared outputs, and a gate always drives a fresh
+  // net; the topological sort re-checks that no cycle slipped in.
   (void)topological_order();
 }
 

@@ -16,7 +16,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "anf/monomial.hpp"
@@ -62,7 +61,7 @@ class Netlist {
 
   // -- Interrogation ------------------------------------------------------
 
-  std::size_t num_vars() const { return var_names_.size(); }
+  std::size_t num_vars() const { return names_.var_names.size(); }
   std::size_t num_gates() const { return gates_.size(); }
   /// One equation per gate — the paper's "#eqns" metric.
   std::size_t num_equations() const { return gates_.size(); }
@@ -110,12 +109,12 @@ class Netlist {
   /// n-1.  Used for the Figure 1 style cost comparisons on real netlists.
   std::size_t xor2_equivalent_count() const;
 
-  /// Structural sanity: unique drivers, defined inputs, acyclic, declared
-  /// outputs exist.  Throws Error with a diagnostic on violation.
+  /// Structural sanity: acyclic (the construction calls check the rest).
+  /// Throws Error with a diagnostic on violation.
   void validate() const;
 
  private:
-  Var new_var(const std::string& name, bool is_input);
+  Var new_var(const std::string& name);
 
   /// Tri-color DFS from one gate, appending reachable gates to `order` in
   /// topological order; backs topological_order().
@@ -155,14 +154,27 @@ class Netlist {
   std::shared_ptr<const ConeIndex> cone_index() const;
   void invalidate_cone_index();
 
+  /// Each net name stored once: as a key of `by_name`, which `var_names`
+  /// points into.  A reserved name is a key mapped to kReserved (no net
+  /// yet).  Copies re-point `var_names` at their own keys; moves keep the
+  /// map's nodes, so the pointers stay valid.
+  struct Names {
+    static constexpr Var kReserved = ~Var{0};
+    std::unordered_map<std::string, Var> by_name;
+    std::vector<const std::string*> var_names;
+    Names() = default;
+    Names(const Names& other) { *this = other; }
+    Names(Names&&) noexcept = default;
+    Names& operator=(const Names& other);
+    Names& operator=(Names&&) noexcept = default;
+  };
+
   std::string name_;
   std::size_t next_auto_name_ = 0;
-  std::unordered_set<std::string> reserved_names_;
-  std::vector<std::string> var_names_;
-  std::vector<bool> var_is_input_;
-  // driver_[v] = gate index + 1, or 0 when v is an input.
+  Names names_;
+  // driver_[v] = gate index + 1, or 0 when v is an input.  Every net is an
+  // input or a gate output, so this also answers is_input.
   std::vector<std::size_t> driver_;
-  std::unordered_map<std::string, Var> by_name_;
   std::vector<Gate> gates_;
   std::vector<Var> inputs_;
   std::vector<Var> outputs_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <map>
 
 #include "util/error.hpp"
@@ -12,7 +13,8 @@ namespace {
 
 /// Splits "a12" into ("a", 12) and "a[12]" into ("a", 12) — the latter is
 /// how the Verilog frontend names flattened vector-port bits.  Returns
-/// false when the name has no trailing index or no base.
+/// false when the name has no trailing index, no base, or an index that
+/// does not fit `unsigned`.
 bool split_indexed(const std::string& name, std::string& base,
                    unsigned& index) {
   std::size_t end = name.size();
@@ -30,8 +32,10 @@ bool split_indexed(const std::string& name, std::string& base,
   } else {
     base = name.substr(0, pos);
   }
-  index = static_cast<unsigned>(std::stoul(name.substr(pos, end - pos)));
-  return true;
+  // An index beyond `unsigned` is no word bit (never wrapped, never thrown).
+  const auto [ptr, ec] =
+      std::from_chars(name.data() + pos, name.data() + end, index);
+  return ec == std::errc{};
 }
 
 std::vector<WordPort> group_ports(const Netlist& netlist,

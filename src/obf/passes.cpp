@@ -2,11 +2,13 @@
 #include "obf/passes.hpp"
 
 #include <cctype>
+#include <climits>
 #include <fstream>
 #include <sstream>
 
 #include "obf/internal.hpp"
 #include "util/error.hpp"
+#include "util/options.hpp"
 #include "util/prng.hpp"
 
 namespace gfre::obf {
@@ -78,12 +80,9 @@ std::vector<PassSpec> parse_pass_stack(const std::string& text,
     const std::size_t colon = item.find(':');
     if (colon != std::string::npos) {
       name = item.substr(0, colon);
-      const std::string digits = item.substr(colon + 1);
-      if (digits.empty()) throw InvalidArgument("bad pass spec '" + item + "'");
-      for (char c : digits)
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-          throw InvalidArgument("bad pass strength in '" + item + "'");
-      strength = static_cast<unsigned>(std::stoul(digits));
+      strength = static_cast<unsigned>(parse_u64(
+          item.substr(colon + 1), "pass strength in '" + item + "'", 0,
+          UINT_MAX));
     }
     const std::optional<PassKind> kind = pass_from_name(name);
     if (!kind) throw InvalidArgument("unknown obfuscation pass '" + name + "'");

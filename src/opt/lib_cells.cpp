@@ -39,59 +39,61 @@ std::optional<nl::CellType> match_builtin_cell(const frontend::LibCell& cell) {
 namespace {
 
 /// Emits gates computing `expr` (a resolved BoolExpr over pin indices)
-/// and returns the name of the net holding the result.  `sink` names the
-/// root gate `output`; inner gates are auto-named.
-std::string emit_expr(const frontend::BoolExpr& expr,
-                      const std::vector<std::string>& actuals,
-                      const std::string& output, const EmitGateFn& emit) {
+/// and returns the net holding the result.  The root gate takes `output`
+/// (empty = auto-named).
+nl::Var emit_expr(nl::Netlist& netlist, const frontend::BoolExpr& expr,
+                  std::span<const nl::Var> actuals,
+                  const std::string& output) {
   using Kind = frontend::BoolExpr::Kind;
   auto sub = [&](const frontend::BoolExpr& e) {
-    return emit_expr(e, actuals, "", emit);
+    return emit_expr(netlist, e, actuals, "");
   };
   switch (expr.kind) {
     case Kind::Const0:
-      return emit(nl::CellType::Const0, {}, output);
+      return netlist.add_gate(nl::CellType::Const0, {}, output);
     case Kind::Const1:
-      return emit(nl::CellType::Const1, {}, output);
+      return netlist.add_gate(nl::CellType::Const1, {}, output);
     case Kind::Ref: {
-      const std::string& net = actuals[expr.pin];
+      const nl::Var net = actuals[expr.pin];
       // A bare pin reference still needs a gate when it must drive a
       // specific output net.
       if (output.empty()) return net;
-      return emit(nl::CellType::Buf, {net}, output);
+      return netlist.add_gate(nl::CellType::Buf, {net}, output);
     }
-    case Kind::Not: {
-      // Collapse !(x) over a bare ref into a single INV.
-      return emit(nl::CellType::Inv, {sub(expr.operands[0])}, output);
-    }
+    case Kind::Not:
+      return netlist.add_gate(nl::CellType::Inv, {sub(expr.operands[0])},
+                              output);
     case Kind::And:
-      return emit(nl::CellType::And,
-                  {sub(expr.operands[0]), sub(expr.operands[1])}, output);
+      return netlist.add_gate(nl::CellType::And,
+                              {sub(expr.operands[0]), sub(expr.operands[1])},
+                              output);
     case Kind::Or:
-      return emit(nl::CellType::Or,
-                  {sub(expr.operands[0]), sub(expr.operands[1])}, output);
+      return netlist.add_gate(nl::CellType::Or,
+                              {sub(expr.operands[0]), sub(expr.operands[1])},
+                              output);
     case Kind::Xor:
-      return emit(nl::CellType::Xor,
-                  {sub(expr.operands[0]), sub(expr.operands[1])}, output);
+      return netlist.add_gate(nl::CellType::Xor,
+                              {sub(expr.operands[0]), sub(expr.operands[1])},
+                              output);
     case Kind::Mux:
-      return emit(nl::CellType::Mux,
-                  {sub(expr.operands[0]), sub(expr.operands[1]),
-                   sub(expr.operands[2])},
-                  output);
+      return netlist.add_gate(nl::CellType::Mux,
+                              {sub(expr.operands[0]), sub(expr.operands[1]),
+                               sub(expr.operands[2])},
+                              output);
   }
   GFRE_ASSERT(false, "unreachable BoolExpr kind");
-  return output;
+  return 0;
 }
 
 }  // namespace
 
-std::string expand_cell_function(const frontend::LibCell& cell,
-                                 const std::vector<std::string>& actuals,
-                                 const std::string& output,
-                                 const EmitGateFn& emit) {
+nl::Var expand_cell_function(nl::Netlist& netlist,
+                             const frontend::LibCell& cell,
+                             std::span<const nl::Var> actuals,
+                             const std::string& output) {
   GFRE_ASSERT(actuals.size() == cell.inputs.size(),
               "cell '" << cell.name << "' expansion arity mismatch");
-  return emit_expr(cell.function, actuals, output, emit);
+  return emit_expr(netlist, cell.function, actuals, output);
 }
 
 }  // namespace gfre::opt

@@ -16,8 +16,8 @@
 // Every pass is semantics-preserving (checked by simulation in the tests).
 #pragma once
 
-#include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -89,16 +89,12 @@ nl::Netlist synthesize(const nl::Netlist& netlist,
 std::optional<nl::CellType> match_builtin_cell(const frontend::LibCell& cell);
 
 /// Structural fallback for cells with no builtin equivalent: emits a gate
-/// subgraph computing `cell`'s function over the actual input names.
-/// `emit` creates one gate — (type, input net names, output net name;
-/// empty = auto) — and returns the name of the net it drove.  The
-/// returned name drives the instance's output.  Purely name-level so the
-/// frontends can route it through their own graph builders.
-using EmitGateFn = std::function<std::string(
-    nl::CellType, std::vector<std::string> inputs, std::string output)>;
-std::string expand_cell_function(const frontend::LibCell& cell,
-                                 const std::vector<std::string>& actuals,
-                                 const std::string& output,
-                                 const EmitGateFn& emit);
+/// subgraph computing `cell`'s function over `actuals` (one net per input
+/// pin).  The root gate drives the net named `output`; inner gates are
+/// auto-named.  Returns the root net.
+nl::Var expand_cell_function(nl::Netlist& netlist,
+                             const frontend::LibCell& cell,
+                             std::span<const nl::Var> actuals,
+                             const std::string& output);
 
 }  // namespace gfre::opt

@@ -192,8 +192,16 @@ struct Coordinator::Impl {
     slots[k].alive = true;
     slots[k].closing = false;
     slots[k].inflight = 0;
-    readers.emplace_back([this, k, fd = sv[0], pid] { read_loop(k, fd, pid); });
     return true;
+  }
+
+  /// Starts slot k's reader.  Kept apart from the fork so the startup
+  /// fleet forks before any reader thread exists: a child forked while
+  /// another thread holds a lock (an allocator's, say) inherits it held.
+  void start_reader_locked(unsigned k) {
+    readers.emplace_back([this, k, fd = slots[k].fd, pid = slots[k].pid] {
+      read_loop(k, fd, pid);
+    });
   }
 
   // -- reader threads -------------------------------------------------------
@@ -287,11 +295,13 @@ struct Coordinator::Impl {
       }
       for (const auto& [r, cb] : batch) pending.erase(r.id);
       if (options.respawn && !draining && !shut_down) {
-        if (spawn_slot_locked(k))
+        if (spawn_slot_locked(k)) {
+          start_reader_locked(k);
           ++counters.respawns;
-        else
+        } else {
           std::fprintf(stderr, "coordinator: respawn of worker %u failed\n",
                        k);
+        }
       }
       if (fleet_dead_locked()) {
         // Nothing left to run the parked jobs, ever.
@@ -379,6 +389,8 @@ Coordinator::Coordinator(const CoordinatorOptions& options)
   for (unsigned k = 0; k < impl_->options.workers; ++k)
     if (impl_->spawn_slot_locked(k)) ++spawned;
   if (spawned == 0) throw Error("serve: could not fork any worker process");
+  for (unsigned k = 0; k < impl_->options.workers; ++k)
+    if (impl_->slots[k].alive) impl_->start_reader_locked(k);
 }
 
 Coordinator::~Coordinator() { shutdown(std::chrono::milliseconds(30000)); }

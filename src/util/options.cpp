@@ -34,7 +34,8 @@ std::string env_string(const char* name, const std::string& fallback) {
   return v == nullptr ? fallback : std::string(v);
 }
 
-std::uint64_t parse_u64(std::string_view text, std::string_view what) {
+std::uint64_t parse_u64(std::string_view text, std::string_view what,
+                        std::uint64_t lo, std::uint64_t hi) {
   std::uint64_t value = 0;
   // from_chars takes no leading whitespace and, for an unsigned type, no
   // sign at all.
@@ -47,6 +48,11 @@ std::uint64_t parse_u64(std::string_view text, std::string_view what) {
   if (text.empty() || ec != std::errc{} || end != text.data() + text.size()) {
     throw InvalidArgument(std::string(what) +
                           " wants a non-negative integer, got '" +
+                          std::string(text) + "'");
+  }
+  if (value < lo || value > hi) {
+    throw InvalidArgument(std::string(what) + " wants " + std::to_string(lo) +
+                          ".." + std::to_string(hi) + ", got '" +
                           std::string(text) + "'");
   }
   return value;

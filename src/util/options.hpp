@@ -28,10 +28,12 @@ long env_long(const char* name, long fallback);
 /// String environment variable with default.
 std::string env_string(const char* name, const std::string& fallback);
 
-/// Parses a whole non-negative decimal integer.  Rejects empty input, any
-/// sign (so "-1" never wraps to 2^64-1), trailing characters ("1e6",
-/// "5s", "12abc") and values beyond 2^64-1, throwing InvalidArgument with
-/// `what` (the key or flag name) in the message.
-std::uint64_t parse_u64(std::string_view text, std::string_view what);
+/// Parses a whole non-negative decimal integer in [lo, hi].  Rejects empty
+/// input, any sign (so "-1" never wraps to 2^64-1), trailing characters
+/// ("1e6", "5s", "12abc"), values beyond 2^64-1 and values outside the
+/// bounds, throwing InvalidArgument with `what` (the key or flag name) in
+/// the message.
+std::uint64_t parse_u64(std::string_view text, std::string_view what,
+                        std::uint64_t lo = 0, std::uint64_t hi = UINT64_MAX);
 
 }  // namespace gfre

@@ -122,6 +122,24 @@ TEST(FlowFailures, InferPortsOnShapelessNetlistFailsGracefully) {
       << report.summary();
 }
 
+TEST(FlowFailures, InferPortsWithOversizedIndexIsDiagnosed) {
+  // An operand bit whose index overflows every integer type is not a word
+  // bit, so inference finds no two-operand interface: a diagnosed report,
+  // never an exception out of the index parse.
+  nl::Netlist netlist = bitwise_xor_circuit(2);
+  const nl::Var extra = netlist.add_input("a99999999999999999999");
+  netlist.mark_output(netlist.add_gate(
+      nl::CellType::Xor, {extra, *netlist.find_var("b0")}, "z2"));
+  FlowOptions options;
+  options.infer_ports = true;
+  core::FlowReport report;
+  ASSERT_NO_THROW(report = reverse_engineer(netlist, options));
+  EXPECT_FALSE(report.success);
+  EXPECT_NE(report.recovery.diagnosis.find("multiplier interface"),
+            std::string::npos)
+      << report.recovery.diagnosis;
+}
+
 TEST(FlowFailures, InferPortsStillRecoversRenamedMultiplier) {
   // Positive control for inference: a real multiplier with non-standard
   // port names is recovered without being told the bases.

@@ -8,6 +8,7 @@
 // pre-flattened flat twin at any thread count.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -19,6 +20,8 @@
 #include "frontend/cell_library.hpp"
 #include "frontend/emit_hier.hpp"
 #include "frontend/frontend.hpp"
+#include "gen/mastrovito.hpp"
+#include "gf2m/field.hpp"
 #include "helpers.hpp"
 #include "netlist/io_blif.hpp"
 #include "netlist/io_eqn.hpp"
@@ -345,6 +348,104 @@ TEST(CellLibrary, VerilogCellInstancesNamedAndPositional) {
   expect_same_structure(nl::read_verilog(named, "n.v", options),
                         nl::read_verilog(positional, "p.v", options),
                         "named vs positional cell pins");
+}
+
+/// A library whose one cell (y = a & !b) matches no builtin, so every
+/// instance goes through the structural expansion.
+std::shared_ptr<const frontend::CellLibrary> andn_library() {
+  return std::make_shared<const frontend::CellLibrary>(
+      frontend::parse_cell_library(
+          "library (andn_only) {\n"
+          "  cell (ANDN) {\n"
+          "    pin (a) { direction : input; }\n"
+          "    pin (b) { direction : input; }\n"
+          "    pin (y) { direction : output; function : \"a & !b\"; }\n"
+          "  }\n"
+          "}\n",
+          "andn.lib"));
+}
+
+/// The GF(2^4) Mastrovito multiplier as .eqn and as Verilog, statement for
+/// statement, with every AND(u, v) written as ANDN(u, INV(v)).
+std::pair<std::string, std::string> andn_multiplier_twins() {
+  const nl::Netlist mult =
+      gen::generate_mastrovito(gf2m::Field(gf2::Poly{4, 1, 0}));
+  const auto names = [&](const std::vector<nl::Var>& vars) {
+    std::string list;
+    for (nl::Var v : vars)
+      list += (list.empty() ? "" : ", ") + mult.var_name(v);
+    return list;
+  };
+  std::vector<nl::Var> ports = mult.inputs();
+  ports.insert(ports.end(), mult.outputs().begin(), mult.outputs().end());
+  std::string eqn = "input " + names(mult.inputs()) + ";\noutput " +
+                    names(mult.outputs()) + ";\n";
+  std::string verilog = "module m4 (" + names(ports) + ");\n  input " +
+                        names(mult.inputs()) + ";\n  output " +
+                        names(mult.outputs()) + ";\n";
+  for (std::size_t g : mult.topological_order()) {
+    const nl::Gate& gate = mult.gate(g);
+    const std::string out = mult.var_name(gate.output);
+    const std::string id = std::to_string(g);
+    if (gate.type == nl::CellType::And) {
+      const std::string u = mult.var_name(gate.inputs[0]);
+      const std::string v = mult.var_name(gate.inputs[1]);
+      eqn += "inv_" + out + " = INV(" + v + ");\n" + out + " = ANDN(" + u +
+             ", inv_" + out + ");\n";
+      verilog += "  not g" + id + " (inv_" + out + ", " + v + ");\n  ANDN u" +
+                 id + " (" + out + ", " + u + ", inv_" + out + ");\n";
+    } else {
+      // XOR / BUF: the .eqn mnemonic, lower-cased, is the primitive.
+      const std::string op = nl::cell_name(gate.type);
+      std::string primitive = op;
+      for (char& c : primitive) c = static_cast<char>(std::tolower(c));
+      eqn += out + " = " + op + "(" + names(gate.inputs) + ");\n";
+      verilog += "  " + primitive + " g" + id + " (" + out + ", " +
+                 names(gate.inputs) + ");\n";
+    }
+  }
+  return {eqn, verilog + "endmodule\n"};
+}
+
+TEST(CellLibrary, ExpandedCellIsIdenticalFromEqnAndVerilog) {
+  frontend::FrontendOptions options;
+  options.library = andn_library();
+  ASSERT_FALSE(options.library->find("ANDN")->builtin.has_value());
+  const auto [eqn, verilog] = andn_multiplier_twins();
+  const nl::Netlist from_eqn = nl::read_eqn(eqn, "m4.eqn", options);
+  const nl::Netlist from_verilog = nl::read_verilog(verilog, "m4.v", options);
+  expect_same_structure(from_verilog, from_eqn, "ANDN expansion eqn vs v");
+  // Each ANDN expands into an auto-named INV plus the named AND.
+  EXPECT_EQ(from_eqn.cell_histogram().at(nl::CellType::Inv),
+            2 * from_eqn.cell_histogram().at(nl::CellType::And));
+
+  const core::FlowReport eqn_report = core::reverse_engineer(from_eqn);
+  ASSERT_TRUE(eqn_report.success) << eqn_report.summary();
+  EXPECT_EQ(eqn_report.recovery.p.to_string(), "x^4+x+1");
+  test::expect_reports_equal(core::reverse_engineer(from_verilog),
+                             eqn_report, "ANDN expansion eqn vs v report");
+}
+
+TEST(CellLibrary, DeclaredAutoStyleNameSurvivesEarlierExpansion) {
+  // The ANDN expansion creates an auto-named INV before the statement
+  // declaring n0 instantiates; the helper must not take the name n0.
+  frontend::FrontendOptions options;
+  options.library = andn_library();
+  const nl::Netlist netlist = nl::read_eqn(
+      "input a b;\noutput y n0;\n"
+      "t = ANDN(a, b);\n"
+      "n0 = XOR(a, b);\n"
+      "y = AND(t, n0);\n",
+      "t.eqn", options);
+  const auto n0 = netlist.find_var("n0");
+  ASSERT_TRUE(n0.has_value());
+  ASSERT_TRUE(netlist.driver(*n0).has_value());
+  EXPECT_EQ(netlist.gate(*netlist.driver(*n0)).type, nl::CellType::Xor);
+  const auto t = netlist.find_var("t");
+  ASSERT_TRUE(t.has_value());
+  const nl::Gate& and_gate = netlist.gate(*netlist.driver(*t));
+  EXPECT_EQ(and_gate.type, nl::CellType::And);
+  EXPECT_NE(netlist.var_name(and_gate.inputs[1]), "n0");
 }
 
 // ---------------------------------------------------------------------------

@@ -171,6 +171,27 @@ TEST(Ports, GroupedInputPortsRequireDenseIndices) {
   EXPECT_EQ(ports[0].width(), 2u);
 }
 
+TEST(Ports, IndexBeyondUnsignedIsNotAWordBit) {
+  // 4294967297 = 2^32 + 1 must not wrap onto bit 1 of word a.
+  Netlist n;
+  n.add_input("a0");
+  n.add_input("a4294967297");
+  const auto ports = input_word_ports(n);
+  ASSERT_EQ(ports.size(), 1u);
+  EXPECT_EQ(ports[0].base, "a");
+  EXPECT_EQ(ports[0].width(), 1u);
+}
+
+TEST(Ports, IndexBeyond64BitsIsNotAWordBit) {
+  Netlist n;
+  n.add_input("a0");
+  n.add_input("a99999999999999999999");
+  std::vector<WordPort> ports;
+  ASSERT_NO_THROW(ports = input_word_ports(n));
+  ASSERT_EQ(ports.size(), 1u);
+  EXPECT_EQ(ports[0].width(), 1u);
+}
+
 TEST(Ports, MultiplierPortsValidation) {
   Netlist n;
   for (int i = 0; i < 3; ++i) n.add_input("a" + std::to_string(i));
