@@ -1,40 +1,14 @@
 #include "frontend/cell_library.hpp"
 
-#include <fstream>
-#include <sstream>
+#include <array>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "opt/passes.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace gfre::frontend {
-
-bool eval_bool_expr(const BoolExpr& expr, const std::vector<bool>& values) {
-  switch (expr.kind) {
-    case BoolExpr::Kind::Const0: return false;
-    case BoolExpr::Kind::Const1: return true;
-    case BoolExpr::Kind::Ref:
-      GFRE_ASSERT(expr.pin < values.size(), "pin index out of range");
-      return values[expr.pin];
-    case BoolExpr::Kind::Not:
-      return !eval_bool_expr(expr.operands[0], values);
-    case BoolExpr::Kind::And:
-      return eval_bool_expr(expr.operands[0], values) &&
-             eval_bool_expr(expr.operands[1], values);
-    case BoolExpr::Kind::Or:
-      return eval_bool_expr(expr.operands[0], values) ||
-             eval_bool_expr(expr.operands[1], values);
-    case BoolExpr::Kind::Xor:
-      return eval_bool_expr(expr.operands[0], values) !=
-             eval_bool_expr(expr.operands[1], values);
-    case BoolExpr::Kind::Mux:
-      return eval_bool_expr(expr.operands[0], values)
-                 ? eval_bool_expr(expr.operands[2], values)
-                 : eval_bool_expr(expr.operands[1], values);
-  }
-  return false;
-}
 
 int LibCell::find_input(const std::string& pin) const {
   for (std::size_t i = 0; i < inputs.size(); ++i)
@@ -65,11 +39,18 @@ namespace {
 // ---------------------------------------------------------------------------
 
 struct NamedExpr {
-  enum class Kind { Const0, Const1, Ref, Not, And, Or, Xor, Mux, Call };
-  Kind kind = Kind::Const0;
+  enum class Kind { Gate, Ref, Call };
+  Kind kind = Kind::Gate;
+  nl::CellType type = nl::CellType::Const0;  ///< Gate
   std::string name;  ///< Ref: pin name; Call: cell name
   std::vector<NamedExpr> operands;
-  Loc loc;
+
+  static NamedExpr gate(nl::CellType type, std::vector<NamedExpr> operands) {
+    NamedExpr e;
+    e.type = type;
+    e.operands = std::move(operands);
+    return e;
+  }
 };
 
 class FunctionParser {
@@ -97,20 +78,15 @@ class FunctionParser {
     NamedExpr d1 = ternary();
     if (!lexer_.accept_punct(':')) fail("expected ':' in cell function");
     NamedExpr d0 = ternary();
-    NamedExpr e;
-    e.kind = NamedExpr::Kind::Mux;
-    e.operands = {std::move(cond), std::move(d0), std::move(d1)};
-    return e;
+    return NamedExpr::gate(nl::CellType::Mux,
+                           {std::move(cond), std::move(d0), std::move(d1)});
   }
 
   NamedExpr or_expr() {
     NamedExpr e = xor_expr();
     while (lexer_.accept_punct('|') || lexer_.accept_punct('+')) {
       NamedExpr rhs = xor_expr();
-      NamedExpr joined;
-      joined.kind = NamedExpr::Kind::Or;
-      joined.operands = {std::move(e), std::move(rhs)};
-      e = std::move(joined);
+      e = NamedExpr::gate(nl::CellType::Or, {std::move(e), std::move(rhs)});
     }
     return e;
   }
@@ -119,10 +95,7 @@ class FunctionParser {
     NamedExpr e = and_expr();
     while (lexer_.accept_punct('^')) {
       NamedExpr rhs = and_expr();
-      NamedExpr joined;
-      joined.kind = NamedExpr::Kind::Xor;
-      joined.operands = {std::move(e), std::move(rhs)};
-      e = std::move(joined);
+      e = NamedExpr::gate(nl::CellType::Xor, {std::move(e), std::move(rhs)});
     }
     return e;
   }
@@ -131,21 +104,14 @@ class FunctionParser {
     NamedExpr e = unary();
     while (lexer_.accept_punct('&') || lexer_.accept_punct('*')) {
       NamedExpr rhs = unary();
-      NamedExpr joined;
-      joined.kind = NamedExpr::Kind::And;
-      joined.operands = {std::move(e), std::move(rhs)};
-      e = std::move(joined);
+      e = NamedExpr::gate(nl::CellType::And, {std::move(e), std::move(rhs)});
     }
     return e;
   }
 
   NamedExpr unary() {
-    if (lexer_.accept_punct('!') || lexer_.accept_punct('~')) {
-      NamedExpr e;
-      e.kind = NamedExpr::Kind::Not;
-      e.operands = {unary()};
-      return e;
-    }
+    if (lexer_.accept_punct('!') || lexer_.accept_punct('~'))
+      return NamedExpr::gate(nl::CellType::Inv, {unary()});
     return primary();
   }
 
@@ -160,14 +126,12 @@ class FunctionParser {
     if (t.kind == Token::Kind::Number) {
       Token num = lexer_.next();
       if (num.value > 1) fail("only 0/1 constants allowed in cell functions");
-      NamedExpr e;
-      e.kind = num.value ? NamedExpr::Kind::Const1 : NamedExpr::Kind::Const0;
-      return e;
+      return NamedExpr::gate(
+          num.value ? nl::CellType::Const1 : nl::CellType::Const0, {});
     }
     if (t.kind == Token::Kind::Ident) {
       Token id = lexer_.next();
       NamedExpr e;
-      e.loc = site_;
       if (lexer_.accept_punct('(')) {
         e.kind = NamedExpr::Kind::Call;
         e.name = id.text;
@@ -225,43 +189,22 @@ class Resolver {
   }
 
   BoolExpr bind(const NamedExpr& e, RawCell& context) {
-    BoolExpr out;
     switch (e.kind) {
-      case NamedExpr::Kind::Const0:
-        out.kind = BoolExpr::Kind::Const0;
+      case NamedExpr::Kind::Gate: {
+        BoolExpr out = BoolExpr::gate(e.type, {});
+        out.operands.reserve(e.operands.size());
+        for (const NamedExpr& op : e.operands)
+          out.operands.push_back(bind(op, context));
         return out;
-      case NamedExpr::Kind::Const1:
-        out.kind = BoolExpr::Kind::Const1;
-        return out;
+      }
       case NamedExpr::Kind::Ref: {
         int pin = context.cell.find_input(e.name);
         if (pin < 0)
           fail_at(context.loc, "cell '" + context.cell.name +
                                    "' function references unknown pin '" +
                                    e.name + "'");
-        out.kind = BoolExpr::Kind::Ref;
-        out.pin = static_cast<unsigned>(pin);
-        return out;
+        return BoolExpr::ref(static_cast<unsigned>(pin));
       }
-      case NamedExpr::Kind::Not:
-        out.kind = BoolExpr::Kind::Not;
-        out.operands = {bind(e.operands[0], context)};
-        return out;
-      case NamedExpr::Kind::And:
-      case NamedExpr::Kind::Or:
-      case NamedExpr::Kind::Xor:
-        out.kind = e.kind == NamedExpr::Kind::And  ? BoolExpr::Kind::And
-                   : e.kind == NamedExpr::Kind::Or ? BoolExpr::Kind::Or
-                                                   : BoolExpr::Kind::Xor;
-        out.operands = {bind(e.operands[0], context),
-                        bind(e.operands[1], context)};
-        return out;
-      case NamedExpr::Kind::Mux:
-        out.kind = BoolExpr::Kind::Mux;
-        out.operands = {bind(e.operands[0], context),
-                        bind(e.operands[1], context),
-                        bind(e.operands[2], context)};
-        return out;
       case NamedExpr::Kind::Call: {
         auto it = index_.find(e.name);
         if (it == index_.end())
@@ -286,16 +229,15 @@ class Resolver {
         return substitute(callee.cell.function, actuals);
       }
     }
-    return out;
+    GFRE_ASSERT(false, "unreachable NamedExpr kind");
+    return {};
   }
 
   /// Replaces each Ref pin i in `body` with actuals[i].
   static BoolExpr substitute(const BoolExpr& body,
                              const std::vector<BoolExpr>& actuals) {
     if (body.kind == BoolExpr::Kind::Ref) return actuals[body.pin];
-    BoolExpr out;
-    out.kind = body.kind;
-    out.pin = body.pin;
+    BoolExpr out = BoolExpr::gate(body.type, {});
     out.operands.reserve(body.operands.size());
     for (const BoolExpr& op : body.operands)
       out.operands.push_back(substitute(op, actuals));
@@ -305,6 +247,51 @@ class Resolver {
   std::vector<RawCell>& raw_;
   std::unordered_map<std::string, std::size_t> index_;
 };
+
+// ---------------------------------------------------------------------------
+// Builtin matching
+// ---------------------------------------------------------------------------
+
+/// Evaluates `expr` with `values[i]` as the value of pin i.
+bool eval_bool_expr(const BoolExpr& expr, const std::vector<bool>& values) {
+  if (expr.kind == BoolExpr::Kind::Ref) return values[expr.pin];
+  std::array<bool, 3> in{};  // the function grammar's widest gate is Mux
+  GFRE_ASSERT(expr.operands.size() <= in.size(), "BoolExpr gate too wide");
+  for (std::size_t i = 0; i < expr.operands.size(); ++i)
+    in[i] = eval_bool_expr(expr.operands[i], values);
+  return nl::eval_cell(expr.type,
+                       std::span<const bool>(in.data(), expr.operands.size()));
+}
+
+/// Truth-table matches a cell's function against the builtin CellType set
+/// (pin order preserved), so AOI22/OAI21/MUX2/XNOR3-style cells land on
+/// single gates however their function was written.  nullopt when no
+/// builtin of that arity has the identical table (or the cell has > 8
+/// pins).
+std::optional<nl::CellType> match_builtin_cell(const LibCell& cell) {
+  const std::size_t n = cell.inputs.size();
+  if (n > 8) return std::nullopt;
+  // The cell's truth table, LSB-first over pin values.
+  const std::size_t rows = std::size_t{1} << n;
+  std::vector<bool> table(rows);
+  std::vector<bool> values(n);
+  for (std::size_t row = 0; row < rows; ++row) {
+    for (std::size_t i = 0; i < n; ++i) values[i] = (row >> i) & 1;
+    table[row] = eval_bool_expr(cell.function, values);
+  }
+  std::array<bool, 8> pins{};
+  for (nl::CellType type : nl::all_cell_types()) {
+    if (!nl::arity_ok(type, n)) continue;
+    bool match = true;
+    for (std::size_t row = 0; row < rows && match; ++row) {
+      for (std::size_t i = 0; i < n; ++i) pins[i] = (row >> i) & 1;
+      match = nl::eval_cell(type, std::span<const bool>(pins.data(), n)) ==
+              table[row];
+    }
+    if (match) return type;
+  }
+  return std::nullopt;
+}
 
 // ---------------------------------------------------------------------------
 // Library file parsing (Liberty-flavored group/attribute syntax)
@@ -340,7 +327,7 @@ class LibraryParser {
     Resolver(raw).resolve_all();
     CellLibrary lib(name.text);
     for (RawCell& rc : raw) {
-      rc.cell.builtin = opt::match_builtin_cell(rc.cell);
+      rc.cell.builtin = match_builtin_cell(rc.cell);
       lib.add(std::move(rc.cell));
     }
     return lib;
@@ -472,11 +459,10 @@ CellLibrary parse_cell_library(const std::string& text,
 }
 
 CellLibrary load_cell_library_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open cell library '" + path + "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse_cell_library(ss.str(), path);
+  std::string text;
+  if (!util::read_file_to_string(path, &text))
+    throw Error("cannot open cell library '" + path + "'");
+  return parse_cell_library(text, path);
 }
 
 }  // namespace gfre::frontend

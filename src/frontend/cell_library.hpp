@@ -22,9 +22,8 @@
 // skipped, so trimmed-down fragments of real .lib files load.
 //
 // After parsing, each cell is matched against the builtin CellType set by
-// truth table (opt/lib_cells.cpp): AOI22 above becomes a single Aoi22
-// gate; a cell with no builtin equivalent is expanded structurally when
-// instantiated.
+// truth table: AOI22 above becomes a single Aoi22 gate; a cell with no
+// builtin equivalent is expanded structurally when instantiated.
 #pragma once
 
 #include <cstdint>
@@ -38,23 +37,31 @@
 
 namespace gfre::frontend {
 
-/// Boolean function AST over a cell's input pins.
+/// Boolean function AST over numbered pins: a node reads one pin, or is a
+/// builtin gate over its operand nodes (Const0/Const1 have none).  A
+/// Liberty cell function is one over the cell's input pins; a Verilog
+/// `assign` right-hand side is one over its net references.
 struct BoolExpr {
-  enum class Kind { Const0, Const1, Ref, Not, And, Or, Xor, Mux };
+  enum class Kind : unsigned char { Ref, Gate };
 
-  Kind kind = Kind::Const0;
-  unsigned pin = 0;                ///< Ref: input-pin index
-  std::vector<BoolExpr> operands;  ///< Not: 1; And/Or/Xor: 2; Mux: s,d0,d1
+  Kind kind = Kind::Gate;
+  nl::CellType type = nl::CellType::Const0;  ///< Gate
+  unsigned pin = 0;                          ///< Ref: pin index
+  std::vector<BoolExpr> operands;            ///< Gate: the cell's inputs
 
-  static BoolExpr constant(bool one) {
+  static BoolExpr ref(unsigned pin) {
     BoolExpr e;
-    e.kind = one ? Kind::Const1 : Kind::Const0;
+    e.kind = Kind::Ref;
+    e.pin = pin;
+    return e;
+  }
+  static BoolExpr gate(nl::CellType type, std::vector<BoolExpr> operands) {
+    BoolExpr e;
+    e.type = type;
+    e.operands = std::move(operands);
     return e;
   }
 };
-
-/// Evaluates `expr` with `values[i]` as the value of pin i.
-bool eval_bool_expr(const BoolExpr& expr, const std::vector<bool>& values);
 
 /// One library cell: named input pins (declaration order defines the
 /// positional pin order) and a single-output boolean function.
@@ -64,7 +71,7 @@ struct LibCell {
   std::string output;               ///< output pin name
   BoolExpr function;                ///< over input-pin indices
   /// Builtin cell with the identical truth table, when one exists — the
-  /// single-gate fast path.  Filled by opt::match_builtin_cell at load.
+  /// single-gate fast path.  Filled by the truth-table match at load.
   std::optional<nl::CellType> builtin;
 
   int find_input(const std::string& pin) const;

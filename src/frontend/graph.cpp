@@ -1,13 +1,34 @@
 #include "frontend/graph.hpp"
 
-#include "opt/passes.hpp"
 #include "util/error.hpp"
 
 namespace gfre::frontend {
 
 namespace {
+
 // def_ value of a declared input.
 constexpr std::uint32_t kInput = UINT32_MAX;
+
+/// Emits gates computing `expr` with pin i bound to `pins[i]`, operands
+/// before the gate that reads them, and returns the net holding the
+/// result.  The root gate takes `output` (empty = auto-named).
+nl::Var emit_bool_expr(nl::Netlist& netlist, const BoolExpr& expr,
+                       std::span<const nl::Var> pins,
+                       const std::string& output) {
+  if (expr.kind == BoolExpr::Kind::Ref) {
+    const nl::Var net = pins[expr.pin];
+    // A bare pin reference still needs a gate when it must drive a
+    // specific output net.
+    if (output.empty()) return net;
+    return netlist.add_gate(nl::CellType::Buf, {net}, output);
+  }
+  std::vector<nl::Var> inputs;
+  inputs.reserve(expr.operands.size());
+  for (const BoolExpr& op : expr.operands)
+    inputs.push_back(emit_bool_expr(netlist, op, pins, ""));
+  return netlist.add_gate(expr.type, std::move(inputs), output);
+}
+
 }  // namespace
 
 GraphBuilder::GraphBuilder(std::string file) {
@@ -76,10 +97,19 @@ void GraphBuilder::add_gate(std::string_view out, nl::CellType type,
 void GraphBuilder::add_cell(std::string_view out, const LibCell* cell,
                             std::span<const std::string_view> args,
                             const Loc& loc) {
+  GFRE_ASSERT(args.size() == cell->inputs.size(),
+              "cell '" << cell->name << "' instance arity mismatch");
   if (cell->builtin) return add_gate(out, *cell->builtin, args, loc);
+  add_function(out, &cell->function, args, loc);
+}
+
+void GraphBuilder::add_function(std::string_view out,
+                                const BoolExpr* function,
+                                std::span<const std::string_view> args,
+                                const Loc& loc) {
   Node& node = push_node(out, args, loc);
-  node.kind = Node::Kind::Cell;
-  node.cell = cell;
+  node.kind = Node::Kind::Function;
+  node.function = function;
 }
 
 void GraphBuilder::add_node(std::string_view out,
@@ -97,8 +127,8 @@ nl::Var GraphBuilder::emit(nl::Netlist& netlist, const Node& node,
   switch (node.kind) {
     case Node::Kind::Gate:
       return netlist.add_gate(node.type, {args.begin(), args.end()}, out);
-    case Node::Kind::Cell:
-      return opt::expand_cell_function(netlist, *node.cell, args, out);
+    case Node::Kind::Function:
+      return emit_bool_expr(netlist, *node.function, args, out);
     case Node::Kind::Custom:
       return emits_[node.emit](netlist, args, out);
   }

@@ -8,8 +8,14 @@
 // order and every structural diagnostic (undefined net, double
 // definition, combinational cycle, driven input, undriven output) comes
 // from one implementation with the source location of the statement.
-// Builtin gates and library-cell expansions are emitted here; only
-// Verilog assign expressions and BLIF covers bring their own EmitFn.
+//
+// Emission lives here too.  A node is a builtin gate, or a BoolExpr
+// function whose pin i is the node's arg i, emitted one gate per BoolExpr
+// gate node.  A library cell with no builtin match and a Verilog `assign`
+// (an anonymous cell whose pins are its net references) are both such
+// functions; the builder holds a pointer to the library's or the module
+// AST's BoolExpr, so each must outlive build().  Only BLIF covers bring
+// their own EmitFn.
 //
 // The traversal visits nodes in insertion order and resolves each node's
 // args first, which means a file whose statements are already in
@@ -56,9 +62,15 @@ class GraphBuilder {
                 std::span<const std::string_view> args, const Loc& loc);
 
   /// `out` is an instance of library cell `cell` (one arg per input pin):
-  /// its builtin gate when it has one, else its structural expansion.
+  /// its builtin gate when it has one, else its function's expansion.
   void add_cell(std::string_view out, const LibCell* cell,
                 std::span<const std::string_view> args, const Loc& loc);
+
+  /// `out` is `function` with pin i bound to `args[i]`: one gate per
+  /// BoolExpr gate node, the root named `out`, inner gates auto-named.
+  /// `function` must outlive build().
+  void add_function(std::string_view out, const BoolExpr* function,
+                    std::span<const std::string_view> args, const Loc& loc);
 
   /// `out` is whatever `emit` builds from `args`.
   void add_node(std::string_view out, std::span<const std::string_view> args,
@@ -78,16 +90,16 @@ class GraphBuilder {
   };
 
   struct Node {
-    enum class Kind : unsigned char { Gate, Cell, Custom };
+    enum class Kind : unsigned char { Gate, Function, Custom };
     NameId output = 0;
     std::uint32_t args_begin = 0;  ///< [args_begin, args_end) in args_
     std::uint32_t args_end = 0;
     Pos pos;
     Kind kind = Kind::Gate;
-    nl::CellType type{};            ///< Gate
-    unsigned char state = 0;        ///< 0 unvisited, 1 visiting, 2 done
-    const LibCell* cell = nullptr;  ///< Cell
-    std::uint32_t emit = 0;         ///< Custom: index into emits_
+    nl::CellType type{};                 ///< Gate
+    unsigned char state = 0;             ///< 0 unvisited, 1 visiting, 2 done
+    const BoolExpr* function = nullptr;  ///< Function
+    std::uint32_t emit = 0;              ///< Custom: index into emits_
   };
 
   NameId intern(std::string_view name);

@@ -2,8 +2,8 @@
 
 #include <cctype>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+
+#include "util/bytes.hpp"
 
 namespace gfre::frontend {
 
@@ -114,11 +114,9 @@ IncludeResolver filesystem_include_resolver() {
     std::error_code ec;
     fs::path canon = fs::weakly_canonical(p, ec);
     *resolved = ec ? p.string() : canon.string();
-    std::ifstream in(p, std::ios::binary);
-    if (!in) return std::nullopt;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
+    std::string text;
+    if (!util::read_file_to_string(p.string(), &text)) return std::nullopt;
+    return text;
   };
 }
 

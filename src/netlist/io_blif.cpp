@@ -11,6 +11,7 @@
 
 #include "frontend/graph.hpp"
 #include "frontend/source.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace gfre::nl {
@@ -303,11 +304,10 @@ void write_blif_file(const Netlist& netlist, const std::string& path) {
 }
 
 Netlist read_blif_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open '" + path + "' for reading");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return read_blif(buffer.str(), path);
+  std::string text;
+  if (!util::read_file_to_string(path, &text))
+    throw Error("cannot open '" + path + "' for reading");
+  return read_blif(text, path);
 }
 
 }  // namespace gfre::nl

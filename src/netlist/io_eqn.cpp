@@ -9,6 +9,7 @@
 #include "frontend/cell_library.hpp"
 #include "frontend/graph.hpp"
 #include "frontend/source.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace gfre::nl {
@@ -172,11 +173,10 @@ void write_eqn_file(const Netlist& netlist, const std::string& path) {
 }
 
 Netlist read_eqn_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw Error("cannot open '" + path + "' for reading");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return read_eqn(buffer.str(), path);
+  std::string text;
+  if (!util::read_file_to_string(path, &text))
+    throw Error("cannot open '" + path + "' for reading");
+  return read_eqn(text, path);
 }
 
 }  // namespace gfre::nl

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <map>
 #include <optional>
-#include <span>
 #include <sstream>
 #include <string_view>
 #include <unordered_map>
@@ -14,6 +13,7 @@
 #include "frontend/cell_library.hpp"
 #include "frontend/graph.hpp"
 #include "frontend/source.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace gfre::nl {
@@ -178,15 +178,28 @@ std::int64_t eval_int(const IntExpr& e, const ParamEnv& env) {
 
 // -- Net expressions -------------------------------------------------------
 
-struct Expr {
-  enum class Kind { Ref, Const, Not, And, Or, Xor, Mux };
-  Kind kind = Kind::Ref;
-  std::string name;               ///< Ref: net or vector name
-  std::optional<IntExpr> index;   ///< Ref: bit-select
-  bool escaped = false;           ///< Ref came from an escaped identifier
-  bool const_one = false;         ///< Const
-  std::vector<Expr> operands;
+/// A net, or one bit of a vector, as written in the source.
+struct NetRef {
+  std::string name;
+  std::optional<IntExpr> index;  ///< bit-select
   Loc loc;
+};
+
+/// An `assign` right-hand side: an anonymous cell whose pin i is the net
+/// refs[i].  Pins are numbered in operand order, the order emission
+/// consumes them, so `s ? d1 : d0` reads (s, d0, d1).
+struct NetExpr {
+  frontend::BoolExpr function;
+  std::vector<NetRef> refs;
+};
+
+/// A port connection's actual: a net reference or a 1-bit constant.  Any
+/// other expression parses (Compound) and is diagnosed at `net.loc` when
+/// its instance elaborates.
+struct Actual {
+  enum class Kind : unsigned char { Net, Const0, Const1, Compound };
+  Kind kind = Kind::Net;
+  NetRef net;  ///< the reference (Net), or just the position
 };
 
 // -- Module AST ------------------------------------------------------------
@@ -213,14 +226,14 @@ struct Param {
 };
 
 struct Assign {
-  Expr lhs;  ///< must be Ref (optionally indexed)
-  Expr rhs;
+  NetRef lhs;
+  NetExpr rhs;
   Loc loc;
 };
 
 struct Conn {
   std::string formal;  ///< empty for positional
-  std::optional<Expr> actual;
+  std::optional<Actual> actual;
   Loc loc;
 };
 
@@ -433,11 +446,13 @@ class VerilogParser {
     Token kw = lexer_.next();  // assign
     Assign a;
     a.loc = kw.loc;
-    a.lhs = parse_primary();
-    if (a.lhs.kind != Expr::Kind::Ref)
-      frontend::fail_at(a.lhs.loc, "assign target must be a net");
+    refs_.clear();
+    const Parsed lhs = parse_primary();
+    if (lhs.expr.kind != frontend::BoolExpr::Kind::Ref)
+      frontend::fail_at(lhs.loc, "assign target must be a net");
+    a.lhs = std::move(refs_[0]);
     lexer_.expect_punct('=');
-    a.rhs = parse_expr();
+    a.rhs = parse_net_expr();
     lexer_.expect_punct(';');
     m.items.push_back({Item::Kind::Assign, m.assigns.size()});
     m.assigns.push_back(std::move(a));
@@ -483,14 +498,14 @@ class VerilogParser {
           conn.formal = formal.text;
           lexer_.expect_punct('(');
           if (!lexer_.accept_punct(')')) {
-            conn.actual = parse_expr();
+            conn.actual = parse_actual();
             lexer_.expect_punct(')');
           }
         } else {
           if (inst.named)
             frontend::fail_at(conn.loc,
                               "cannot mix named and positional connections");
-          conn.actual = parse_expr();
+          conn.actual = parse_actual();
         }
         inst.conns.push_back(std::move(conn));
         first = false;
@@ -504,84 +519,104 @@ class VerilogParser {
   }
 
   // -- Expressions (precedence low to high: ?: | ^ & unary primary) ------
+  //
+  // Each operator becomes a BoolExpr gate node and each net reference a
+  // Ref node numbered into refs_ in source order; parse_net_expr then
+  // renumbers the pins into operand order.
 
-  Expr parse_expr() { return parse_ternary(); }
+  /// A subexpression and the position diagnostics give it: its root
+  /// operator, or the condition of a `?:`.
+  struct Parsed {
+    frontend::BoolExpr expr;
+    Loc loc;
+  };
 
-  Expr parse_ternary() {
-    Expr cond = parse_or();
+  NetExpr parse_net_expr() {
+    refs_.clear();
+    NetExpr e;
+    e.function = parse_ternary().expr;
+    e.refs.reserve(refs_.size());
+    number_pins(e.function, e.refs);
+    return e;
+  }
+
+  /// Moves each Ref's reference from refs_ to `refs` in operand order.
+  void number_pins(frontend::BoolExpr& e, std::vector<NetRef>& refs) {
+    if (e.kind == frontend::BoolExpr::Kind::Ref) {
+      refs.push_back(std::move(refs_[e.pin]));
+      e.pin = static_cast<unsigned>(refs.size() - 1);
+      return;
+    }
+    for (frontend::BoolExpr& op : e.operands) number_pins(op, refs);
+  }
+
+  Actual parse_actual() {
+    refs_.clear();
+    Parsed p = parse_ternary();
+    Actual a;
+    if (p.expr.kind == frontend::BoolExpr::Kind::Ref) {
+      a.net = std::move(refs_[0]);
+      return a;
+    }
+    a.kind = p.expr.type == CellType::Const0   ? Actual::Kind::Const0
+             : p.expr.type == CellType::Const1 ? Actual::Kind::Const1
+                                               : Actual::Kind::Compound;
+    a.net.loc = std::move(p.loc);
+    return a;
+  }
+
+  Parsed parse_ternary() {
+    Parsed cond = parse_or();
     if (!lexer_.accept_punct('?')) return cond;
-    Expr then_e = parse_ternary();
+    Parsed then_e = parse_ternary();
     lexer_.expect_punct(':');
-    Expr else_e = parse_ternary();
-    Expr e;
-    e.kind = Expr::Kind::Mux;
-    e.loc = cond.loc;
+    Parsed else_e = parse_ternary();
     // Mux operand order is (select, d0, d1): select ? d1 : d0.
-    e.operands = {std::move(cond), std::move(else_e), std::move(then_e)};
-    return e;
+    return {frontend::BoolExpr::gate(CellType::Mux,
+                                     {std::move(cond.expr),
+                                      std::move(else_e.expr),
+                                      std::move(then_e.expr)}),
+            std::move(cond.loc)};
   }
 
-  Expr parse_or() {
-    Expr e = parse_xor();
-    while (lexer_.peek().is_punct('|')) {
+  Parsed parse_or() {
+    return parse_binary('|', CellType::Or, &VerilogParser::parse_xor);
+  }
+  Parsed parse_xor() {
+    return parse_binary('^', CellType::Xor, &VerilogParser::parse_and);
+  }
+  Parsed parse_and() {
+    return parse_binary('&', CellType::And, &VerilogParser::parse_unary);
+  }
+
+  /// A left-associative chain of `op` over the next-tighter level.
+  Parsed parse_binary(char op, CellType type,
+                      Parsed (VerilogParser::*operand)()) {
+    Parsed e = (this->*operand)();
+    while (lexer_.peek().is_punct(op)) {
       Loc loc = lexer_.next().loc;
-      Expr rhs = parse_xor();
-      Expr joined;
-      joined.kind = Expr::Kind::Or;
-      joined.loc = loc;
-      joined.operands = {std::move(e), std::move(rhs)};
-      e = std::move(joined);
+      Parsed rhs = (this->*operand)();
+      e = {frontend::BoolExpr::gate(type,
+                                    {std::move(e.expr), std::move(rhs.expr)}),
+           std::move(loc)};
     }
     return e;
   }
 
-  Expr parse_xor() {
-    Expr e = parse_and();
-    while (lexer_.peek().is_punct('^')) {
-      Loc loc = lexer_.next().loc;
-      Expr rhs = parse_and();
-      Expr joined;
-      joined.kind = Expr::Kind::Xor;
-      joined.loc = loc;
-      joined.operands = {std::move(e), std::move(rhs)};
-      e = std::move(joined);
-    }
-    return e;
-  }
-
-  Expr parse_and() {
-    Expr e = parse_unary();
-    while (lexer_.peek().is_punct('&')) {
-      Loc loc = lexer_.next().loc;
-      Expr rhs = parse_unary();
-      Expr joined;
-      joined.kind = Expr::Kind::And;
-      joined.loc = loc;
-      joined.operands = {std::move(e), std::move(rhs)};
-      e = std::move(joined);
-    }
-    return e;
-  }
-
-  Expr parse_unary() {
+  Parsed parse_unary() {
     if (lexer_.peek().is_punct('~') || lexer_.peek().is_punct('!')) {
       Loc loc = lexer_.next().loc;
-      Expr e;
-      e.kind = Expr::Kind::Not;
-      e.loc = loc;
-      e.operands = {parse_unary()};
-      return e;
+      return {frontend::BoolExpr::gate(CellType::Inv, {parse_unary().expr}),
+              std::move(loc)};
     }
     return parse_primary();
   }
 
-  Expr parse_primary() {
+  Parsed parse_primary() {
     const Token& t = lexer_.peek();
-    Expr e;
-    e.loc = t.loc;
     if (t.is_punct('(')) {
       lexer_.next();
-      e = parse_expr();
+      Parsed e = parse_ternary();
       lexer_.expect_punct(')');
       return e;
     }
@@ -591,23 +626,23 @@ class VerilogParser {
         frontend::fail_at(num.loc,
                           "unsupported literal '" + num.text +
                               "' (only 1-bit constants allowed)");
-      e.kind = Expr::Kind::Const;
-      e.const_one = num.value == 1;
-      return e;
+      return {frontend::BoolExpr::gate(
+                  num.value == 1 ? CellType::Const1 : CellType::Const0, {}),
+              std::move(num.loc)};
     }
     if (t.kind == Token::Kind::Ident) {
       Token id = lexer_.next();
       if (is_keyword(id.text) && !id.escaped)
         frontend::fail_at(id.loc, "unexpected keyword '" + id.text + "'");
-      e.kind = Expr::Kind::Ref;
-      e.name = id.text;
-      e.escaped = id.escaped;
+      NetRef ref{std::move(id.text), std::nullopt, id.loc};
       if (!id.escaped && lexer_.peek().is_punct('[')) {
         lexer_.next();
-        e.index = parse_int_expr();
+        ref.index = parse_int_expr();
         lexer_.expect_punct(']');
       }
-      return e;
+      refs_.push_back(std::move(ref));
+      return {frontend::BoolExpr::ref(static_cast<unsigned>(refs_.size() - 1)),
+              std::move(id.loc)};
     }
     frontend::fail_at(t.loc, "expected an operand, got '" + t.text + "'");
   }
@@ -681,6 +716,7 @@ class VerilogParser {
   }
 
   frontend::Lexer lexer_;
+  std::vector<NetRef> refs_;  ///< the expression being parsed, source order
 };
 
 // -- Elaboration -----------------------------------------------------------
@@ -863,9 +899,9 @@ class Elaborator {
     path_.pop_back();
   }
 
-  // Resolves a Ref expression to a single flat bit name.
-  std::string resolve_bit(const Expr& e, Scope& scope) {
-    GFRE_ASSERT(e.kind == Expr::Kind::Ref, "resolve_bit on non-ref");
+  /// Resolves a reference to a single flat bit name (a Symbol's, so it
+  /// stays valid while the scope lives).
+  const std::string& resolve_bit(const NetRef& e, Scope& scope) {
     Symbol* sym = lookup(e.name, scope, e.loc, /*implicit_ok=*/!e.index);
     if (e.index) {
       if (!sym->vector_net)
@@ -884,8 +920,9 @@ class Elaborator {
     return sym->bits[0];
   }
 
-  // Resolves a Ref to all its bits (vector actuals in port connections).
-  std::vector<std::string> resolve_bits(const Expr& e, Scope& scope) {
+  // Resolves a reference to all its bits (vector actuals in port
+  // connections).
+  std::vector<std::string> resolve_bits(const NetRef& e, Scope& scope) {
     if (!e.index) {
       Symbol* sym = lookup(e.name, scope, e.loc, /*implicit_ok=*/true);
       return sym->bits;
@@ -921,83 +958,14 @@ class Elaborator {
     return name;
   }
 
+  /// An assign is an anonymous cell: its pins resolve to flat nets here,
+  /// and every instance of the module shares the AST's function.
   void elaborate_assign(const Assign& a, Scope& scope) {
-    const std::string lhs = resolve_bit(a.lhs, scope);
-    // Resolve every leaf reference to its flat net name NOW — the emit
-    // callback runs during build(), after this scope is gone.
-    Expr rhs = flatten_expr(a.rhs, scope);
-    std::vector<std::string_view> args;
-    collect_refs(rhs, args);
-    builder_.add_node(lhs, args, a.loc,
-                       [rhs](Netlist& netlist, std::span<const Var> vars,
-                             const std::string& out) {
-                         std::size_t next = 0;
-                         return emit_expr(rhs, netlist, vars, next, out);
-                       });
-  }
-
-  /// Returns `e` with every Ref replaced by its resolved flat name.
-  Expr flatten_expr(const Expr& e, Scope& scope) {
-    Expr out = e;
-    if (e.kind == Expr::Kind::Ref) {
-      out.name = resolve_bit(e, scope);
-      out.index.reset();
-      return out;
-    }
-    for (Expr& op : out.operands) op = flatten_expr(op, scope);
-    return out;
-  }
-
-  /// Appends every leaf Ref name in a flattened expr to `args`, in the
-  /// order emit_expr consumes them.
-  static void collect_refs(const Expr& e,
-                           std::vector<std::string_view>& args) {
-    if (e.kind == Expr::Kind::Ref) {
-      args.push_back(e.name);
-      return;
-    }
-    for (const Expr& op : e.operands) collect_refs(op, args);
-  }
-
-  /// Emits gates for a flattened expr whose leaf Refs resolve, in
-  /// collect_refs order, to vars[next...]; the root gate takes `name`
-  /// (may be "" = auto).
-  static Var emit_expr(const Expr& e, Netlist& netlist,
-                       std::span<const Var> vars, std::size_t& next,
-                       const std::string& name) {
-    auto sub = [&](const Expr& op) {
-      return emit_expr(op, netlist, vars, next, "");
-    };
-    switch (e.kind) {
-      case Expr::Kind::Ref: {
-        const Var v = vars[next++];
-        if (name.empty()) return v;
-        return netlist.add_gate(CellType::Buf, {v}, name);
-      }
-      case Expr::Kind::Const:
-        return netlist.add_gate(
-            e.const_one ? CellType::Const1 : CellType::Const0, {}, name);
-      case Expr::Kind::Not:
-        return netlist.add_gate(CellType::Inv, {sub(e.operands[0])}, name);
-      case Expr::Kind::And:
-      case Expr::Kind::Or:
-      case Expr::Kind::Xor: {
-        CellType type = e.kind == Expr::Kind::And  ? CellType::And
-                        : e.kind == Expr::Kind::Or ? CellType::Or
-                                                   : CellType::Xor;
-        Var a = sub(e.operands[0]);
-        Var b = sub(e.operands[1]);
-        return netlist.add_gate(type, {a, b}, name);
-      }
-      case Expr::Kind::Mux: {
-        Var s = sub(e.operands[0]);
-        Var d0 = sub(e.operands[1]);
-        Var d1 = sub(e.operands[2]);
-        return netlist.add_gate(CellType::Mux, {s, d0, d1}, name);
-      }
-    }
-    GFRE_ASSERT(false, "unreachable expression kind");
-    return 0;
+    const std::string& lhs = resolve_bit(a.lhs, scope);
+    args_.clear();
+    for (const NetRef& ref : a.rhs.refs)
+      args_.push_back(resolve_bit(ref, scope));
+    builder_.add_function(lhs, &a.rhs.function, args_, a.loc);
   }
 
   void elaborate_instance(const Instance& inst, Scope& scope) {
@@ -1074,13 +1042,10 @@ class Elaborator {
     return "$" + inst.target + std::to_string(anon_counter_++);
   }
 
-  /// Resolves a port-connection actual to flat bit names.  Only nets,
-  /// bit-selects and 1-bit constants are supported.
-  std::vector<std::string> resolve_actual(const Expr& e, Scope& scope) {
-    if (e.kind == Expr::Kind::Ref) return resolve_bits(e, scope);
-    if (e.kind == Expr::Kind::Const) return {const_net(e.const_one)};
-    frontend::fail_at(
-        e.loc, "port connections must be nets, bit-selects or constants");
+  /// Resolves a port-connection actual to flat bit names.
+  std::vector<std::string> resolve_actual(const Actual& a, Scope& scope) {
+    if (a.kind == Actual::Kind::Net) return resolve_bits(a.net, scope);
+    return {connection_bit(a, scope)};
   }
 
   void elaborate_primitive(const Instance& inst, Scope& scope) {
@@ -1105,13 +1070,20 @@ class Elaborator {
   std::string connection_bit(const Conn& conn, Scope& scope) {
     if (!conn.actual)
       frontend::fail_at(conn.loc, "connection must not be empty here");
-    if (conn.actual->kind == Expr::Kind::Const)
-      return const_net(conn.actual->const_one);
-    if (conn.actual->kind != Expr::Kind::Ref)
-      frontend::fail_at(
-          conn.actual->loc,
-          "port connections must be nets, bit-selects or constants");
-    return resolve_bit(*conn.actual, scope);
+    return connection_bit(*conn.actual, scope);
+  }
+
+  /// One flat bit for `a`; only nets, bit-selects and 1-bit constants are
+  /// supported.
+  std::string connection_bit(const Actual& a, Scope& scope) {
+    switch (a.kind) {
+      case Actual::Kind::Net: return resolve_bit(a.net, scope);
+      case Actual::Kind::Const0: return const_net(false);
+      case Actual::Kind::Const1: return const_net(true);
+      case Actual::Kind::Compound: break;
+    }
+    frontend::fail_at(
+        a.net.loc, "port connections must be nets, bit-selects or constants");
   }
 
   void elaborate_cell(const Instance& inst, const frontend::LibCell& cell,
@@ -1179,6 +1151,7 @@ class Elaborator {
   std::unordered_map<std::string, const Module*> by_name_;
   frontend::GraphBuilder builder_;
   std::vector<std::string> path_;  ///< module names on the elaboration stack
+  std::vector<std::string_view> args_;  ///< elaborate_assign scratch
   bool made_const0_ = false;
   bool made_const1_ = false;
   unsigned anon_counter_ = 0;
@@ -1202,11 +1175,10 @@ void write_verilog_file(const Netlist& netlist, const std::string& path) {
 }
 
 Netlist read_verilog_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("cannot open '" + path + "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return read_verilog(ss.str(), path);
+  std::string text;
+  if (!util::read_file_to_string(path, &text))
+    throw Error("cannot open '" + path + "'");
+  return read_verilog(text, path);
 }
 
 }  // namespace gfre::nl

@@ -89,6 +89,14 @@ nl::Netlist px_mix_pass(const nl::Netlist& src, unsigned strength,
   for (const Row& row : rows) ++rows_on[row.out_index];
 
   nl::Netlist out(src.name());
+  // Every name this pass invents must be free in both netlists: a stack
+  // that mixes twice meets the first pass's names in `src`.
+  const auto fresh = [&](const std::string& base) {
+    std::string name = base;
+    for (unsigned k = 1; src.find_var(name) || out.find_var(name); ++k)
+      name = base + "_" + std::to_string(k);
+    return name;
+  };
   std::vector<Var> map(src.num_vars());
   for (Var v : src.inputs()) map[v] = out.add_input(src.var_name(v));
   // Decoyed output gates keep their logic but surrender their name to the
@@ -104,7 +112,7 @@ nl::Netlist px_mix_pass(const nl::Netlist& src, unsigned strength,
     const std::string& name = src.var_name(gate.output);
     map[gate.output] = out.add_gate(
         gate.type, std::move(in),
-        decoyed.count(gate.output) ? name + "__raw" : name);
+        decoyed.count(gate.output) ? fresh(name + "__raw") : name);
   }
 
   // Chain the decoy rows; taps always reference the raw output nets.
@@ -139,7 +147,7 @@ nl::Netlist px_mix_pass(const nl::Netlist& src, unsigned strength,
       for (Var w : gate.inputs) in.push_back(clone(w, depth - 1));
       const Var c = out.add_gate(
           gate.type, std::move(in),
-          "obf_mix" + tag + "_c" + std::to_string(clone_tag++));
+          fresh("obf_mix" + tag + "_c" + std::to_string(clone_tag++)));
       clone_memo.emplace(v, c);
       return c;
     };
@@ -150,14 +158,15 @@ nl::Netlist px_mix_pass(const nl::Netlist& src, unsigned strength,
       taps.push_back(map[src.outputs()[t]]);
       taps_clone.push_back(clone(src.outputs()[t], 3 * strength));
     }
-    const Var d1 = out.add_gate(CellType::Xor, taps, "obf_mix" + tag + "a");
+    const Var d1 =
+        out.add_gate(CellType::Xor, taps, fresh("obf_mix" + tag + "a"));
     const Var d2 =
-        out.add_gate(CellType::Xor, taps_clone, "obf_mix" + tag + "b");
+        out.add_gate(CellType::Xor, taps_clone, fresh("obf_mix" + tag + "b"));
     const std::string& final_name = src.var_name(src.outputs()[row.out_index]);
     const bool last = ++emitted_on[row.out_index] == rows_on[row.out_index];
     current[row.out_index] = out.add_gate(
         CellType::Xor, {current[row.out_index], d1, d2},
-        last ? final_name : final_name + "__mix" + tag);
+        last ? final_name : fresh(final_name + "__mix" + tag));
   }
   for (unsigned i = 0; i < m; ++i) out.mark_output(current[i]);
   return out;

@@ -16,12 +16,6 @@
 // Every pass is semantics-preserving (checked by simulation in the tests).
 #pragma once
 
-#include <optional>
-#include <span>
-#include <string>
-#include <vector>
-
-#include "frontend/cell_library.hpp"
 #include "netlist/netlist.hpp"
 
 namespace gfre::opt {
@@ -74,27 +68,5 @@ struct SynthesisOptions {
 /// AOI fusion, optional tech mapping, final cleanup.
 nl::Netlist synthesize(const nl::Netlist& netlist,
                        const SynthesisOptions& options = {});
-
-// ---------------------------------------------------------------------------
-// Cell-library techmapping (lib_cells.cpp): resolving instantiated
-// standard cells — described by a frontend::CellLibrary — into the
-// builtin cell set the rewriting engine understands.
-// ---------------------------------------------------------------------------
-
-/// Truth-table matches a library cell's function against the builtin
-/// CellType set (pin order preserved).  AOI22/OAI21/MUX2/XNOR3-style
-/// cells land on single gates this way regardless of how their .lib
-/// function was written.  Returns nullopt when no builtin of that arity
-/// has the identical table (or the cell has > 8 pins).
-std::optional<nl::CellType> match_builtin_cell(const frontend::LibCell& cell);
-
-/// Structural fallback for cells with no builtin equivalent: emits a gate
-/// subgraph computing `cell`'s function over `actuals` (one net per input
-/// pin).  The root gate drives the net named `output`; inner gates are
-/// auto-named.  Returns the root net.
-nl::Var expand_cell_function(nl::Netlist& netlist,
-                             const frontend::LibCell& cell,
-                             std::span<const nl::Var> actuals,
-                             const std::string& output);
 
 }  // namespace gfre::opt

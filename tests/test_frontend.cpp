@@ -449,6 +449,77 @@ TEST(CellLibrary, DeclaredAutoStyleNameSurvivesEarlierExpansion) {
 }
 
 // ---------------------------------------------------------------------------
+// Verilog assign expressions
+
+TEST(Assigns, CompoundExpressionsEmitPinnedGates) {
+  // Nested ~ & | ^, ?: (both branches defined later: the else branch's
+  // gates come first, in operand order), repeated leaves, 1'b1 inside an
+  // expression, a bare-net assign (a BUF), statements out of topological
+  // order, and one submodule instantiated twice.
+  const std::string text =
+      "module pair (p, q, r);\n"
+      "  input p, q;\n"
+      "  output r;\n"
+      "  wire t;\n"
+      "  assign r = t ^ (p | 1'b1 & q);\n"
+      "  assign t = ~(p & q) | p;\n"
+      "endmodule\n"
+      "module top (a, b, c, s, y0, y1, y2, y3);\n"
+      "  input a, b, c, s;\n"
+      "  output y0, y1, y2, y3;\n"
+      "  wire t0, t1, t2;\n"
+      "  assign y0 = s ? t1 : t0;\n"
+      "  assign y1 = t2 ^ ~(a & 1'b1);\n"
+      "  assign t0 = (a ^ b) & ~(c | a);\n"
+      "  assign t1 = b;\n"
+      "  pair u0 (.p(a), .q(t0), .r(t2));\n"
+      "  pair u1 (.p(t1), .q(c), .r(y2));\n"
+      "  assign y3 = ((a & b) | (~c ^ s)) ? a : 1'b0;\n"
+      "endmodule\n";
+  const nl::Netlist netlist = nl::read_verilog(text, "compound.v");
+  std::string got = nl::write_eqn(netlist) + "vars:";
+  for (nl::Var v = 0; v < netlist.num_vars(); ++v)
+    got += " " + netlist.var_name(v);
+  EXPECT_EQ(got,
+            "# gfre .eqn netlist — 30 equations\n"
+            "model top\n"
+            "input a b c s;\n"
+            "output y0 y1 y2 y3;\n"
+            "n0 = XOR(a, b);\n"
+            "n1 = OR(c, a);\n"
+            "n2 = INV(n1);\n"
+            "t0 = AND(n0, n2);\n"
+            "t1 = BUF(b);\n"
+            "y0 = MUX(s, t0, t1);\n"
+            "n3 = AND(a, t0);\n"
+            "n4 = INV(n3);\n"
+            "u0.t = OR(n4, a);\n"
+            "n5 = CONST1();\n"
+            "n6 = AND(n5, t0);\n"
+            "n7 = OR(a, n6);\n"
+            "t2 = XOR(u0.t, n7);\n"
+            "n8 = CONST1();\n"
+            "n9 = AND(a, n8);\n"
+            "n10 = INV(n9);\n"
+            "y1 = XOR(t2, n10);\n"
+            "n11 = AND(t1, c);\n"
+            "n12 = INV(n11);\n"
+            "u1.t = OR(n12, t1);\n"
+            "n13 = CONST1();\n"
+            "n14 = AND(n13, c);\n"
+            "n15 = OR(t1, n14);\n"
+            "y2 = XOR(u1.t, n15);\n"
+            "n16 = AND(a, b);\n"
+            "n17 = INV(c);\n"
+            "n18 = XOR(n17, s);\n"
+            "n19 = OR(n16, n18);\n"
+            "n20 = CONST0();\n"
+            "y3 = MUX(n19, n20, a);\n"
+            "vars: a b c s n0 n1 n2 t0 t1 y0 n3 n4 u0.t n5 n6 n7 t2 n8 n9 n10 "
+            "y1 n11 n12 u1.t n13 n14 n15 y2 n16 n17 n18 n19 n20 y3");
+}
+
+// ---------------------------------------------------------------------------
 // Structural Verilog: hierarchy, includes, parameters, vectors
 
 TEST(Hierarchy, FlattensWithInstancePathNames) {

@@ -218,6 +218,39 @@ TEST(ObfPxMix, PreservesFunctionAndTruePolynomialRecovers) {
             clean_report.extraction.total_peak_terms);
 }
 
+TEST(ObfPxMix, StackedMixesPickFreeNames) {
+  // A second pxmix meets the first one's `<z>__raw` and `obf_mix*` names
+  // in its input; it must pick free names, not die on a duplicate net.
+  const unsigned m = 8;
+  const nl::Netlist clean = clean_multiplier("mastrovito", m);
+  const gf2::Poly truth = obf::field_polynomial(m);
+  for (const char* text : {"pxmix:2+pxmix:2", "pxmix:1+keygate:1+pxmix:1"}) {
+    for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+      obf::PassOptions options;
+      options.seed = seed;
+      obf::ObfuscationResult obfd;
+      ASSERT_NO_THROW(obfd = obf::apply_stack(
+                          clean, obf::parse_pass_stack(text), options))
+          << text << " seed " << seed;
+      const nl::Netlist attack =
+          obfd.key.empty() ? obfd.netlist
+                           : obf::apply_key(obfd.netlist, obfd.key);
+      Prng rng(seed);
+      EXPECT_FALSE(sim::check_netlists_equal(clean, attack, rng).has_value())
+          << text << " seed " << seed;
+      core::FlowOptions flow;
+      flow.max_terms = 200000;
+      const core::FlowReport report = core::reverse_engineer(attack, flow);
+      if (report.success) {
+        EXPECT_EQ(report.recovery.p, truth) << text << " seed " << seed;
+      } else {
+        EXPECT_FALSE(report.recovery.diagnosis.empty())
+            << text << " seed " << seed;
+      }
+    }
+  }
+}
+
 TEST(ObfRewrite, PreservesFunctionAndRecoversAtEveryStrength) {
   const unsigned m = 8;
   const nl::Netlist clean = clean_multiplier("mastrovito", m);
