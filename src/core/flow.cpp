@@ -113,11 +113,14 @@ FlowReport analyze_extraction(const nl::Netlist& netlist,
   FlowReport report;
   report.m = ports.m();
   report.equations = netlist.num_equations();
+  // The ANFs are Algorithm 1's working, not the answer: analysis reads
+  // them here and they die with this frame, so no report carries them.
+  std::vector<anf::Anf> anfs = std::move(extraction.anfs);
   report.extraction = std::move(extraction);
 
   // Phases 2-4 all read one count of each output's product sets, taken
   // here in a single pass over the ANFs (core/product_counts.hpp).
-  ProductCounts counts(report.extraction.anfs, ports);
+  ProductCounts counts(anfs, ports);
 
   // Phase 2: Algorithm 2 (Theorem 3 membership test).
   report.algorithm2_p = recover_irreducible(counts);
@@ -137,10 +140,10 @@ FlowReport analyze_extraction(const nl::Netlist& netlist,
         std::vector<anf::Anf> reordered(report.m);
         std::vector<RewriteStats> reordered_stats(report.m);
         for (unsigned i = 0; i < report.m; ++i) {
-          reordered[i] = report.extraction.anfs[(*order)[i]];
+          reordered[i] = std::move(anfs[(*order)[i]]);
           reordered_stats[i] = report.extraction.per_bit[(*order)[i]];
         }
-        report.extraction.anfs = std::move(reordered);
+        anfs = std::move(reordered);
         report.extraction.per_bit = std::move(reordered_stats);
         report.output_permutation = *order;
         counts.permute(*order);
@@ -156,7 +159,7 @@ FlowReport analyze_extraction(const nl::Netlist& netlist,
       report.recovery.p_is_irreducible) {
     const gf2m::Field field(report.recovery.p);
     report.verification =
-        verify_against_golden(counts, report.extraction.anfs, field, ports,
+        verify_against_golden(counts, anfs, field, ports,
                               report.recovery.circuit_class);
   } else if (!options.verify_with_golden) {
     report.verification.detail = "skipped";

@@ -76,7 +76,11 @@ struct FlowReport {
   /// Golden-model comparison (when enabled and a P(x) was recovered).
   VerifyResult verification;
 
-  /// Extraction timings/statistics (per-bit stats feed Figure 4).
+  /// Extraction timings/statistics (per-bit stats feed Figure 4).  The
+  /// answer holds no ANFs: analyze_extraction consumes them, so no flow
+  /// path (reverse_engineer, the scheduler, its memo, the disk cache, the
+  /// fleet) fills `extraction.anfs`, and core/report_io ignores it.
+  /// Callers that need the ANFs call extract_outputs directly.
   ExtractionResult extraction;
 
   double total_seconds = 0.0;
@@ -126,7 +130,9 @@ std::optional<nl::MultiplierPorts> resolve_flow_ports(
 
 /// Phases 2-4 on already-extracted ANFs: Algorithm 2, reduction-matrix
 /// recovery/classification, output-permutation retry, golden verification
-/// and the success verdict.  Timing/RSS fields are left for the caller.
+/// and the success verdict.  Consumes `extraction.anfs`: the returned
+/// report keeps the per-bit stats and timings but no ANFs.  Timing/RSS
+/// fields are left for the caller.
 FlowReport analyze_extraction(const nl::Netlist& netlist,
                               const nl::MultiplierPorts& ports,
                               ExtractionResult extraction,

@@ -30,16 +30,6 @@ struct Writer {
     u64(degrees.size());
     for (const unsigned d : degrees) u32(d);
   }
-  void anf(const anf::Anf& a) {
-    // Canonical graded-lex order: the serialized form of an Anf is unique,
-    // so byte-comparing two blobs compares the polynomials.
-    const auto monomials = a.sorted_monomials();
-    u64(monomials.size());
-    for (const auto& monomial : monomials) {
-      u64(monomial.vars().size());
-      for (const anf::Var v : monomial.vars()) u32(v);
-    }
-  }
 };
 
 // -- Bounds-checked reader --------------------------------------------------
@@ -97,19 +87,6 @@ struct Reader {
     for (std::size_t i = 0; i < terms; ++i) degrees.push_back(u32());
     return gf2::Poly::from_degrees(degrees);
   }
-  anf::Anf anf() {
-    const std::size_t monomials = count(8);
-    std::vector<anf::Monomial> out;
-    out.reserve(monomials);
-    for (std::size_t i = 0; i < monomials; ++i) {
-      const std::size_t vars = count(4);
-      std::vector<anf::Var> v;
-      v.reserve(vars);
-      for (std::size_t j = 0; j < vars; ++j) v.push_back(u32());
-      out.push_back(anf::Monomial::from_vars(std::move(v)));
-    }
-    return anf::Anf::from_monomials(std::move(out));
-  }
 };
 
 }  // namespace
@@ -141,8 +118,6 @@ std::string serialize_report(const FlowReport& report) {
   w.u32(report.verification.mismatch_bit);
   w.str(report.verification.detail);
 
-  w.u64(report.extraction.anfs.size());
-  for (const auto& a : report.extraction.anfs) w.anf(a);
   w.u64(report.extraction.per_bit.size());
   for (const auto& stats : report.extraction.per_bit) {
     w.u64(stats.cone_gates);
@@ -210,11 +185,6 @@ FlowReport deserialize_report(std::string_view bytes) {
   report.verification.mismatch_bit = r.u32();
   report.verification.detail = r.str();
 
-  const std::size_t anfs = r.count(8);
-  report.extraction.anfs.reserve(anfs);
-  for (std::size_t i = 0; i < anfs; ++i) {
-    report.extraction.anfs.push_back(r.anf());
-  }
   const std::size_t per_bit = r.count(6 * 8);
   report.extraction.per_bit.reserve(per_bit);
   for (std::size_t i = 0; i < per_bit; ++i) {

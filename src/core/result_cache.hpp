@@ -61,8 +61,8 @@
 namespace gfre::core {
 
 /// What the cache stores per key: a completed flow report, or the
-/// diagnosed job-level error ("error" non-empty, report blank) — the same
-/// two-armed outcome the scheduler's in-memory memo holds, so a disk hit
+/// diagnosed job-level error ("error" non-empty, report blank).  The
+/// scheduler's in-memory memo holds the same type, so a memo or disk hit
 /// replays exactly what the original run produced.
 struct CachedOutcome {
   FlowReport report;

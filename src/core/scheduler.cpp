@@ -232,13 +232,9 @@ struct BatchScheduler::Impl {
     std::size_t cone = 0;
   };
 
-  struct CacheEntry {
-    FlowReport report;
-    std::string error;
-  };
   /// LRU order for the bounded memo: front = most recently used.  cache_
   /// indexes into this list, so lookups stay O(1) and eviction O(1).
-  using MemoList = std::list<std::pair<CacheKey, CacheEntry>>;
+  using MemoList = std::list<std::pair<CacheKey, CachedOutcome>>;
 
   static constexpr std::size_t kPriorityClasses = 3;
   static std::size_t class_of(const Job& job) {
@@ -669,7 +665,7 @@ struct BatchScheduler::Impl {
       {
         std::lock_guard<std::mutex> lock(mu_);
         job.key = key;
-        if (const CacheEntry* cached = memo_find_locked(key)) {
+        if (const CachedOutcome* cached = memo_find_locked(key)) {
           job.result.report = cached->report;
           job.result.error = cached->error;
           job.result.cache_hit = true;
@@ -708,8 +704,8 @@ struct BatchScheduler::Impl {
           job.result.cache_hit = true;
           std::lock_guard<std::mutex> lock(mu_);
           ++stats_.disk_hits;
-          memo_insert_locked(*job.key,
-                             CacheEntry{job.result.report, job.result.error});
+          memo_insert_locked(*job.key, CachedOutcome{job.result.report,
+                                                     job.result.error});
           finish_locked(job, done);
           return;
         }
@@ -850,7 +846,7 @@ struct BatchScheduler::Impl {
     std::lock_guard<std::mutex> lock(mu_);
     if (stored) ++stats_.disk_stores;
     if (cacheable && job.key.has_value()) {
-      memo_insert_locked(*job.key, CacheEntry{job.result.report, ""});
+      memo_insert_locked(*job.key, CachedOutcome{job.result.report, ""});
     }
     finish_locked(job, done);
   }
@@ -865,13 +861,13 @@ struct BatchScheduler::Impl {
     std::lock_guard<std::mutex> lock(mu_);
     if (stored) ++stats_.disk_stores;
     if (job.key.has_value()) {
-      memo_insert_locked(*job.key, CacheEntry{FlowReport{}, error});
+      memo_insert_locked(*job.key, CachedOutcome{FlowReport{}, error});
     }
     finish_locked(job, done);
   }
 
   /// O(1) memo lookup; a hit is refreshed to the LRU front.  Requires mu_.
-  const CacheEntry* memo_find_locked(const CacheKey& key) {
+  const CachedOutcome* memo_find_locked(const CacheKey& key) {
     const auto it = cache_.find(key);
     if (it == cache_.end()) return nullptr;
     memo_lru_.splice(memo_lru_.begin(), memo_lru_, it->second);
@@ -881,7 +877,7 @@ struct BatchScheduler::Impl {
   /// Inserts (or refreshes) a memo entry and enforces the
   /// memo_max_entries LRU bound.  An evicted key is not a lost result —
   /// the disk layer is consulted on the next miss.  Requires mu_.
-  void memo_insert_locked(const CacheKey& key, CacheEntry entry) {
+  void memo_insert_locked(const CacheKey& key, CachedOutcome entry) {
     const auto it = cache_.find(key);
     if (it != cache_.end()) {
       it->second->second = std::move(entry);

@@ -56,7 +56,7 @@ struct NamedExpr {
 class FunctionParser {
  public:
   FunctionParser(const std::string& text, const Loc& site)
-      : lexer_(text, site.file, LexSyntax{}), site_(site) {
+      : lexer_(text, site.file_name(), LexSyntax{}), site_(site) {
     // The function string lives inside an attribute on `site_`'s line; the
     // inner lexer restarts line numbering, so diagnostics are pinned to
     // the attribute's own location instead.

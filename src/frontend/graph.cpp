@@ -31,10 +31,6 @@ nl::Var emit_bool_expr(nl::Netlist& netlist, const BoolExpr& expr,
 
 }  // namespace
 
-GraphBuilder::GraphBuilder(std::string file) {
-  files_.push_back(std::move(file));
-}
-
 GraphBuilder::NameId GraphBuilder::intern(std::string_view name) {
   const auto [it, fresh] = ids_.try_emplace(
       std::string(name), static_cast<NameId>(names_.size()));
@@ -47,7 +43,7 @@ GraphBuilder::NameId GraphBuilder::intern(std::string_view name) {
 
 GraphBuilder::Pos GraphBuilder::pos_of(const Loc& loc) {
   // A file switch only happens at an `include boundary.
-  if (files_.back() != loc.file) files_.push_back(loc.file);
+  if (files_.empty() || files_.back() != loc.file) files_.push_back(loc.file);
   return Pos{static_cast<std::uint32_t>(files_.size() - 1), loc.line,
              loc.column};
 }

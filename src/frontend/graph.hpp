@@ -45,8 +45,7 @@ using EmitFn = std::function<nl::Var(
 
 class GraphBuilder {
  public:
-  /// `file` names the main source in diagnostics.
-  explicit GraphBuilder(std::string file);
+  GraphBuilder() = default;
   // names_ points into ids_, so a copy would point into the original.
   GraphBuilder(const GraphBuilder&) = delete;
   GraphBuilder& operator=(const GraphBuilder&) = delete;
@@ -114,7 +113,7 @@ class GraphBuilder {
                std::span<const nl::Var> args);
   void instantiate(nl::Netlist& netlist);
 
-  std::vector<std::string> files_;  ///< one entry per run of statements
+  std::vector<SourceName> files_;  ///< one entry per run of statements
   std::unordered_map<std::string, NameId> ids_;
   std::vector<const std::string*> names_;  ///< id -> key in ids_
   /// Per id: 0 undefined, kInput, or driving node index + 1.

@@ -7,9 +7,15 @@
 
 namespace gfre::frontend {
 
+const std::string& Loc::file_name() const {
+  static const std::string kInput = "<input>";
+  return file ? *file : kInput;
+}
+
 void fail_at(const Loc& loc, const std::string& msg) {
-  if (loc.column > 0) throw ParseError(loc.file, loc.line, loc.column, msg);
-  throw ParseError(loc.file, loc.line, msg);
+  const std::string& file = loc.file_name();
+  if (loc.column > 0) throw ParseError(file, loc.line, loc.column, msg);
+  throw ParseError(file, loc.line, msg);
 }
 
 // ---------------------------------------------------------------------------
@@ -108,7 +114,7 @@ IncludeResolver filesystem_include_resolver() {
     namespace fs = std::filesystem;
     fs::path p(target);
     if (p.is_relative()) {
-      fs::path base = fs::path(site.file).parent_path();
+      fs::path base = fs::path(site.file_name()).parent_path();
       p = base / p;
     }
     std::error_code ec;
@@ -125,8 +131,7 @@ Lexer::Lexer(std::string text, std::string file, LexSyntax syntax,
     : syntax_(syntax), resolver_(std::move(resolver)) {
   Frame f;
   f.text = std::move(text);
-  f.file = std::move(file);
-  f.resolved = f.file;
+  f.file = std::make_shared<const std::string>(std::move(file));
   frames_.push_back(std::move(f));
   tok_ = lex_token();
 }
@@ -228,12 +233,11 @@ void Lexer::handle_directive() {
   if (!text)
     fail_at(site, "cannot open `include file \"" + target + "\"");
   for (const Frame& f : frames_)
-    if (f.resolved == resolved)
+    if (*f.file == resolved)
       fail_at(site, "`include cycle through \"" + target + "\"");
   Frame f;
   f.text = std::move(*text);
-  f.file = resolved;
-  f.resolved = std::move(resolved);
+  f.file = std::make_shared<const std::string>(std::move(resolved));
   frames_.push_back(std::move(f));
 }
 
@@ -344,7 +348,7 @@ Token Lexer::lex_token() {
 }
 
 Token Lexer::next() {
-  Token prev = tok_;
+  Token prev = std::move(tok_);
   tok_ = lex_token();
   return prev;
 }

@@ -27,11 +27,24 @@
 
 namespace gfre::frontend {
 
+/// A file name stored once and shared by every Loc in that file, so that
+/// copying a Loc (or a Token) never allocates.
+using SourceName = std::shared_ptr<const std::string>;
+
 /// A source position.  `column` is 1-based; 0 means line-granular.
 struct Loc {
-  std::string file = "<input>";
+  SourceName file;  ///< null means "<input>"
   int line = 1;
   int column = 0;
+
+  Loc() = default;
+  Loc(SourceName file, int line, int column)
+      : file(std::move(file)), line(line), column(column) {}
+  /// Stores `file` once; copies of this Loc share it.
+  Loc(std::string_view file, int line, int column)
+      : Loc(std::make_shared<const std::string>(file), line, column) {}
+
+  const std::string& file_name() const;
 };
 
 /// Throws ParseError carrying the position.
@@ -149,8 +162,9 @@ class Lexer {
  private:
   struct Frame {
     std::string text;
-    std::string file;
-    std::string resolved;  ///< canonical path (cycle detection key)
+    /// Diagnostic name; for an `include frame, its canonical path (the
+    /// cycle detection key).
+    SourceName file;
     std::size_t pos = 0;
     int line = 1;
     int col = 1;

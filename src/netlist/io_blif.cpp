@@ -234,7 +234,7 @@ Netlist read_blif(const std::string& text, const std::string& filename) {
                            .block_comments = true,
                            .backslash_continuation = true});
   std::string model = "top";
-  frontend::GraphBuilder builder(filename);
+  frontend::GraphBuilder builder;
   // One INV per inverted literal, shared across the whole file.
   std::unordered_map<Var, Var> inv_cache;
   // The .names block being collected: rows attach to it until the next

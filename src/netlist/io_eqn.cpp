@@ -100,7 +100,7 @@ Netlist read_eqn(const std::string& text, const std::string& filename,
       frontend::LineSyntax{.hash_comments = true, .slash_comments = true,
                            .block_comments = true});
   std::string model = "top";
-  frontend::GraphBuilder builder(filename);
+  frontend::GraphBuilder builder;
   const frontend::CellLibrary* library = options.library.get();
 
   frontend::Loc loc{filename, 0, 0};

@@ -742,7 +742,7 @@ class Elaborator {
   Elaborator(const std::vector<Module>& modules,
              const frontend::FrontendOptions& options,
              const std::string& filename)
-      : options_(options), filename_(filename), builder_(filename) {
+      : options_(options), filename_(filename) {
     for (const Module& m : modules) {
       if (!by_name_.emplace(m.name, &m).second)
         frontend::fail_at(m.loc, "module '" + m.name + "' defined twice");

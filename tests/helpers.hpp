@@ -45,11 +45,6 @@ inline void expect_reports_equal(const core::FlowReport& got,
   EXPECT_EQ(got.verification.mismatch_bit, want.verification.mismatch_bit)
       << label;
   EXPECT_EQ(got.verification.detail, want.verification.detail) << label;
-  ASSERT_EQ(got.extraction.anfs.size(), want.extraction.anfs.size()) << label;
-  for (std::size_t i = 0; i < got.extraction.anfs.size(); ++i) {
-    EXPECT_EQ(got.extraction.anfs[i], want.extraction.anfs[i])
-        << label << " bit " << i;
-  }
   ASSERT_EQ(got.extraction.per_bit.size(), want.extraction.per_bit.size())
       << label;
   for (std::size_t i = 0; i < got.extraction.per_bit.size(); ++i) {

@@ -195,10 +195,14 @@ TEST(EdgeParsers, EqnRoundTripAfterFlowMutations) {
   const auto r2 = core::reverse_engineer(parsed);
   EXPECT_EQ(r1.recovery.p, r2.recovery.p);
   EXPECT_EQ(r1.equations, r2.equations);
+  ASSERT_EQ(r1.extraction.per_bit.size(), field.m());
+  ASSERT_EQ(r2.extraction.per_bit.size(), field.m());
   for (unsigned i = 0; i < field.m(); ++i) {
     // ANFs compare equal after renaming: same input names => same vars is
     // not guaranteed across netlists, so compare sizes + recovery instead.
-    EXPECT_EQ(r1.extraction.anfs[i].size(), r2.extraction.anfs[i].size());
+    EXPECT_EQ(r1.extraction.per_bit[i].final_terms,
+              r2.extraction.per_bit[i].final_terms)
+        << "bit " << i;
   }
 }
 

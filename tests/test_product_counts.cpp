@@ -259,7 +259,6 @@ FlowReport oracle_analyze(std::vector<Anf> anfs,
       report.recovery.circuit_class != CircuitClass::NotAMultiplier &&
       report.recovery.p_is_irreducible && report.recovery.rows_consistent &&
       report.verification.equivalent;
-  report.extraction.anfs = std::move(anfs);
   return report;
 }
 
@@ -320,7 +319,7 @@ void expect_matches_oracle(const std::vector<Anf>& anfs,
   EXPECT_EQ(got.output_permutation, want.output_permutation) << flow;
   expect_verification_equal(got.verification, want.verification, flow);
   EXPECT_EQ(got.success, want.success) << flow;
-  EXPECT_TRUE(got.extraction.anfs == want.extraction.anfs) << flow;
+  EXPECT_TRUE(got.extraction.anfs.empty()) << flow;
 }
 
 std::vector<unsigned> random_order(unsigned m, Prng& rng) {

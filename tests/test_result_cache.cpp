@@ -80,7 +80,7 @@ std::string sole_entry_path(const std::string& dir) {
 }
 
 /// A live, successful report to round-trip: every interesting field is
-/// populated (ANFs, rows, verification, timings, RSS).
+/// populated (rows, verification, per-bit stats, timings, RSS).
 FlowReport live_report() {
   const gf2m::Field field(Poly{8, 4, 3, 1, 0});
   FlowOptions options;
@@ -527,6 +527,53 @@ TEST(ResultCacheBatch, DuplicatesWithinARunHitMemoryNotDisk) {
   EXPECT_EQ(report.stats.disk_misses, 5u);
   EXPECT_EQ(report.stats.disk_stores, 5u);
   EXPECT_EQ(cache->stats().stores, 5u);
+}
+
+TEST(ResultCacheBatch, EveryPathReturnsTheAnswerWithoutAnfs) {
+  // A report is the answer: Algorithm 1's per-bit ANFs end at analysis, so
+  // the standalone flow, a memo hit and a disk hit all return the same
+  // answer with no ANFs, and a crypto-scale entry stays small (the ANFs
+  // alone of this NIST B-163 multiplier serialize to ~1 MB).
+  const gf2m::Field field(Poly{163, 7, 6, 3, 0});
+  const auto netlist =
+      std::make_shared<const nl::Netlist>(gen::generate_mastrovito(field));
+  FlowOptions flow;
+  flow.threads = 2;
+  const FlowReport direct = reverse_engineer(*netlist, flow);
+  ASSERT_TRUE(direct.success) << direct.summary();
+  EXPECT_TRUE(direct.extraction.anfs.empty());
+  EXPECT_EQ(direct.extraction.per_bit.size(), field.m());
+
+  const auto make_jobs = [&] {
+    std::vector<BatchJob> jobs(2);  // the duplicate is a memo hit
+    for (BatchJob& job : jobs) {
+      job.netlist = netlist;
+      job.options = flow;
+    }
+    return jobs;
+  };
+  const std::string dir = fresh_dir("answer_only");
+  BatchOptions options;
+  options.threads = 2;
+  options.result_cache = std::make_shared<ResultCache>(dir);
+  const BatchReport cold = run_batch(make_jobs(), options);
+  EXPECT_EQ(cold.stats.disk_stores, 1u);
+  ASSERT_EQ(cold.results.size(), 2u);
+  // Whichever duplicate keys first extracts; the other is the hit.
+  EXPECT_NE(cold.results[0].cache_hit, cold.results[1].cache_hit);
+
+  const BatchReport warm = run_batch(make_jobs(), options);
+  EXPECT_EQ(warm.stats.disk_hits, 1u);
+  EXPECT_EQ(warm.stats.cones_extracted, 0u);
+
+  for (const BatchReport* run : {&cold, &warm}) {
+    for (const BatchJobResult& result : run->results) {
+      ASSERT_TRUE(result.ok) << result.error;
+      EXPECT_TRUE(result.report.extraction.anfs.empty());
+      expect_reports_equal(result.report, direct, "batch vs standalone");
+    }
+  }
+  EXPECT_LE(fs::file_size(sole_entry_path(dir)), 64u * 1024u);
 }
 
 TEST(ResultCacheBatch, TwoSchedulersShareOneCacheDirConcurrently) {
