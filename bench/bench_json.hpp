@@ -1,17 +1,21 @@
 // Minimal machine-readable bench-result writer.
 //
-// Benches emit a flat JSON document ({"benchmark": ..., "records": [...]})
-// so CI can upload the numbers as an artifact and the perf trajectory of
-// the rewriting engine is tracked across PRs instead of living in console
-// scrollback.  No external JSON dependency: records are flat key -> value
-// maps of strings and numbers, which is all a trend dashboard needs.
+// Benches emit a flat JSON document ({"benchmark": ..., "host": {...},
+// "records": [...]}) so CI can upload the numbers as an artifact and the
+// perf trajectory of the rewriting engine is tracked across PRs instead of
+// living in console scrollback.  The host block says what measured them:
+// logical cores, the SIMD level the CPU supports and the build type.  No
+// external JSON dependency: records are flat key -> value maps of strings
+// and numbers, which is all a trend dashboard needs.
 #pragma once
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "anf/simd.hpp"
 #include "util/jsonl.hpp"
 
 namespace gfre::bench {
@@ -21,7 +25,18 @@ namespace gfre::bench {
 /// one place.
 using JsonRecord = gfre::JsonLine;
 
-/// Collects records and writes {"benchmark": name, "records": [...]}.
+/// The machine and build a bench ran on (GFRE_BENCH_BUILD_TYPE is set per
+/// bench target by CMakeLists.txt).
+inline JsonRecord host_record() {
+  JsonRecord host;
+  host.add("logical_cores", std::thread::hardware_concurrency())
+      .add("simd_detected", anf::simd::to_string(anf::simd::detect_level()))
+      .add("build_type", GFRE_BENCH_BUILD_TYPE);
+  return host;
+}
+
+/// Collects records and writes
+/// {"benchmark": name, "host": host_record(), "records": [...]}.
 class JsonReport {
  public:
   explicit JsonReport(std::string benchmark)
@@ -41,8 +56,10 @@ class JsonReport {
                    path.c_str());
       return false;
     }
-    std::fprintf(f, "{\n  \"benchmark\": \"%s\",\n  \"records\": [\n",
-                 benchmark_.c_str());
+    std::fprintf(f,
+                 "{\n  \"benchmark\": \"%s\",\n  \"host\": %s,\n"
+                 "  \"records\": [\n",
+                 benchmark_.c_str(), host_record().render().c_str());
     for (std::size_t i = 0; i < records_.size(); ++i) {
       std::fprintf(f, "    %s%s\n", records_[i].render().c_str(),
                    i + 1 < records_.size() ? "," : "");

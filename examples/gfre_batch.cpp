@@ -374,9 +374,14 @@ class LocalBackend final : public Backend {
                 stats.queue_peak, stats.rejected, stats.deadline_exceeded,
                 stats.memo_evictions);
     if (!cache_) return;
-    std::printf("disk cache: %zu disk hits, %zu disk misses, %zu stores "
-                "(%s)\n",
+    // Stale (older schema), quarantined (corrupt) and expired (negative
+    // entry past its TTL) lookups are also misses; naming them tells a
+    // cache written by another version from an empty one.
+    const core::ResultCache::Stats disk = cache_->stats();
+    std::printf("disk cache: %zu disk hits, %zu disk misses, %zu stores, "
+                "%zu stale, %zu quarantined, %zu expired (%s)\n",
                 stats.disk_hits, stats.disk_misses, stats.disk_stores,
+                disk.stale, disk.quarantined, disk.expired,
                 cache_->dir().c_str());
     if (config_.given.count("--cache-prune")) {
       const auto pruned = cache_->prune(config_.cache_prune);

@@ -8,7 +8,6 @@
 
 #include "anf/arena.hpp"
 #include "anf/simd.hpp"
-#include "util/error.hpp"
 
 namespace gfre::anf::packed {
 
@@ -52,8 +51,6 @@ struct BitsRep {
   static constexpr unsigned kWords = W;
   std::array<std::uint64_t, W> w{};
 
-  bool operator==(const BitsRep&) const = default;
-
   static BitsRep from_range(const Slot* begin, const Slot* end) {
     BitsRep r;
     for (const Slot* s = begin; s != end; ++s) r.w[*s >> 6] |= 1ull << (*s & 63);
@@ -67,13 +64,6 @@ struct BitsRep {
   }
 
   void clear(Slot s) { w[s >> 6] &= ~(1ull << (s & 63)); }
-
-  /// Monomial product (variables are idempotent): set union = word OR.
-  BitsRep united(const BitsRep& other) const {
-    BitsRep r;
-    for (unsigned i = 0; i < W; ++i) r.w[i] = w[i] | other.w[i];
-    return r;
-  }
 
   template <typename Fn>
   void for_each_slot(Fn&& fn) const {
@@ -93,14 +83,19 @@ struct BitsRep {
 /// word-kernel operations.  Covers any cone up to kMaxSlots; degree is
 /// capped at kSparseMaxDegree (Overflow past that — the caller falls back
 /// to the textbook oracle).
+///
+/// Invariant (prefix-dirty): the used words — halfwords 0..deg, plus one
+/// zeroed trailing halfword when deg is even — are canonical, with
+/// halfwords [1, deg] sorted ascending; words past them may hold stale
+/// content from a recycled entry or a reused scratch value.  Every
+/// consumer is degree-bounded — rep_eq and rep_hash read the used-word
+/// prefix, for_each_slot reads deg slots — so the stale tail is never
+/// observed, and toggles stop paying a 13-word zero plus a 13-word copy
+/// for degree-3 monomials.
 struct SparseRep {
   static constexpr RepKind kKind = RepKind::Sparse;
   static constexpr unsigned kWords = (kSparseMaxDegree + 2) / 2;
-  // Invariant: halfwords [1, deg] sorted ascending, halfwords past deg
-  // zeroed (so the defaulted operator== compares whole values).
   std::array<std::uint64_t, kWords> w{};
-
-  bool operator==(const SparseRep&) const = default;
 
   std::uint32_t deg() const { return static_cast<std::uint32_t>(w[0]); }
 
@@ -136,8 +131,7 @@ struct SparseRep {
   }
 
   std::uint64_t hash() const {
-    // Halfwords past deg are zero by invariant, so hashing the used-word
-    // prefix keeps equal values hashing equally.
+    // Only the used-word prefix is canonical (see the invariant above).
     const unsigned words = (deg() + 2) / 2;
     std::uint64_t h = 0x9e3779b97f4a7c15ull;
     for (unsigned i = 0; i < words; ++i) h = mix64(h ^ w[i]);
@@ -149,32 +143,10 @@ struct SparseRep {
     for (unsigned i = 0; i < d; ++i) {
       if (slot_at(i) != s) continue;
       for (unsigned j = i + 1; j < d; ++j) set_slot(j - 1, slot_at(j));
-      set_slot(d - 1, 0);
+      set_slot(d - 1, 0);  // the new trailing halfword
       set_deg(d - 1);
       return;
     }
-  }
-
-  SparseRep united(const SparseRep& other) const {
-    SparseRep r;
-    const unsigned da = deg(), db = other.deg();
-    unsigned i = 0, j = 0, n = 0;
-    while (i < da || j < db) {
-      std::uint32_t next;
-      if (j >= db || (i < da && slot_at(i) <= other.slot_at(j))) {
-        next = slot_at(i);
-        if (j < db && other.slot_at(j) == next) ++j;  // idempotent: x*x = x
-        ++i;
-      } else {
-        next = other.slot_at(j++);
-      }
-      if (n == kSparseMaxDegree) {
-        throw Overflow("monomial union exceeds the sparse packing cap");
-      }
-      r.set_slot(n++, next);
-    }
-    r.set_deg(n);
-    return r;
   }
 
   template <typename Fn>
@@ -184,8 +156,8 @@ struct SparseRep {
   }
 };
 
-// Kernel-routed representation helpers (the scalar engine uses the
-// member-function forms directly and never touches a kernel table).
+// Kernel-routed representation helpers: the engine's word loops go through
+// the simd::Kernels table it was built with.
 
 template <unsigned W>
 inline bool rep_eq(const BitsRep<W>& a, const BitsRep<W>& b,
@@ -201,9 +173,9 @@ inline bool rep_eq(const BitsRep<W>& a, const BitsRep<W>& b,
 inline bool rep_eq(const SparseRep& a, const SparseRep& b,
                    const simd::Kernels& k) {
   if (a.w[0] != b.w[0]) return false;  // degree + first slot fast reject
-  // Equal w[0] means equal degrees, and halfwords past deg are zero by
-  // invariant — comparing the used-word prefix suffices (typical cone
-  // monomials have degree <= 3, i.e. two words instead of thirteen).
+  // Equal w[0] means equal degrees, so comparing the used-word prefix
+  // suffices (typical cone monomials have degree <= 3, i.e. two words
+  // instead of thirteen).
   return k.eq_words(a.w.data(), b.w.data(), (a.deg() + 2) / 2);
 }
 
@@ -217,17 +189,6 @@ inline void rep_united(BitsRep<W>& dst, const BitsRep<W>& a,
     k.or_words(dst.w.data(), a.w.data(), b.w.data(), W);
   }
 }
-
-// The kernel engine works prefix-dirty on SparseRep: a monomial's used
-// words (halfwords 0..deg, plus one zeroed trailing halfword when deg is
-// even) are always canonical, but words past them may hold stale content
-// from a recycled entry or a reused scratch value.  Every consumer inside
-// the engine is degree-bounded — rep_eq and rep_hash read the used-word
-// prefix, for_each_slot reads deg slots — so the stale tail is never
-// observed, and toggles stop paying a 13-word zero plus a 13-word copy
-// for degree-3 monomials.  The scalar engine keeps SparseRep's
-// fully-zeroed invariant (defaulted operator==, whole-value hash); these
-// helpers are for the kernel engine only.
 
 /// Sorted-merge union a ∪ b into dst's prefix (dst must alias neither).
 inline void rep_united(SparseRep& dst, const SparseRep& a, const SparseRep& b,
@@ -263,8 +224,7 @@ inline std::size_t rep_degree(const SparseRep& r, const simd::Kernels&) {
   return r.deg();
 }
 
-/// Entry assignment for the kernel engine's tables (prefix-only for
-/// SparseRep, see the prefix-dirty note above rep_united).
+/// Entry assignment (prefix-only for SparseRep, see its invariant).
 template <unsigned W>
 inline void rep_assign(BitsRep<W>& dst, const BitsRep<W>& src) {
   dst = src;
@@ -280,11 +240,10 @@ inline std::uint64_t rep_hash(const BitsRep<W>& r) {
   return r.hash();
 }
 
-/// Table-layout hash for the kernel engine.  Layout does not affect set
-/// semantics (same toggles, same cancellations, same monomials), so this
-/// need not match SparseRep::hash: one avalanche over the two words that
-/// cover every degree <= 3 monomial — the overwhelming cone traffic —
-/// replaces the serial per-word mixing chain.
+/// Table-layout hash.  Layout does not affect set semantics (same toggles,
+/// same cancellations, same monomials), so one avalanche over the two words
+/// that cover every degree <= 3 monomial — the overwhelming cone traffic —
+/// replaces the serial per-word mixing chain there.
 inline std::uint64_t rep_hash(const SparseRep& r) {
   const unsigned words = (r.deg() + 2) / 2;
   if (words == 1) return mix64(r.w[0]);
@@ -316,10 +275,10 @@ struct ConeEngine::Impl {
 
 namespace {
 
-/// A slot's occurrence bucket in the kernel engine: packed (id, gen)
-/// handles in arena memory.  Trivial by design — the per-thread bucket
-/// directory persists across cones and is revalidated by epoch, so a
-/// stale Bucket is simply overwritten, never destroyed.
+/// A slot's occurrence bucket: packed (id, gen) handles in arena memory.
+/// Trivial by design — the per-thread bucket directory persists across
+/// cones and is revalidated by epoch, so a stale Bucket is simply
+/// overwritten, never destroyed.
 struct Bucket {
   std::uint64_t* refs;
   std::uint32_t size;
@@ -363,209 +322,14 @@ EngineScratch& thread_scratch() {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar engine: portable linear-probing flat table (the differential
-// baseline — GFRE_SIMD=scalar routes every cone here).
-// ---------------------------------------------------------------------------
-
-template <typename Rep>
-class EngineImpl final : public ConeEngine::Impl {
- public:
-  EngineImpl(std::size_t num_slots, Slot root) : occ_(num_slots) {
-    table_.assign(kMinTable, kEmpty);
-    toggle(Rep::from_range(&root, &root + 1));
-    cancellations_ = 0;  // the seed insert can never cancel
-    peak_ = live_;
-  }
-
-  RepKind rep() const override { return Rep::kKind; }
-  simd::Level level() const override { return simd::Level::Scalar; }
-
-  std::size_t occurrence_count(Slot var) override {
-    collect_hits(var);
-    return hits_.size();
-  }
-
-  void substitute(Slot var, const TermList& terms) override {
-    // Reuses the hit set stashed by an immediately preceding
-    // occurrence_count(var) — the driver's prepare/substitute pairing —
-    // so the bucket is walked once per gate.  The stash can only go stale
-    // through toggles, which happen exclusively below (and invalidate it).
-    if (!hits_valid_ || hits_var_ != var) collect_hits(var);
-    hits_valid_ = false;
-    // `var` never reappears after this step (reverse topological order),
-    // so the whole bucket can be retired.
-    std::vector<OccRef>().swap(occ_[var]);
-
-    packed_terms_.clear();
-    for (std::size_t t = 0; t < terms.term_count(); ++t) {
-      packed_terms_.push_back(
-          Rep::from_range(terms.term_begin(t), terms.term_end(t)));
-    }
-
-    for (const Rep& hit : hits_) {
-      erase_known(hit);
-      Rep rest = hit;
-      rest.clear(var);
-      for (const Rep& term : packed_terms_) toggle(rest.united(term));
-    }
-    peak_ = std::max(peak_, live_);
-  }
-
-  std::size_t size() const override { return live_; }
-  std::size_t cancellations() const override { return cancellations_; }
-  std::size_t peak_terms() const override { return peak_; }
-
-  std::vector<SlotMono> monomials() const override {
-    std::vector<SlotMono> out;
-    out.reserve(live_);
-    for (const Entry& e : entries_) {
-      if ((e.gen & 1u) == 0) continue;  // odd generation = live
-      SlotMono mono;
-      e.mono.for_each_slot([&](Slot s) { mono.push_back(s); });
-      out.push_back(std::move(mono));
-    }
-    return out;
-  }
-
- private:
-  struct Entry {
-    Rep mono{};
-    // Liveness is the generation's parity (odd = live); a stale occurrence
-    // handle is detected by generation mismatch, so a recycled entry id
-    // never aliases an old handle.
-    std::uint32_t gen = 0;
-  };
-  struct OccRef {
-    std::uint32_t id;
-    std::uint32_t gen;
-  };
-
-  static constexpr std::uint32_t kEmpty = 0xffffffffu;
-  static constexpr std::uint32_t kTombstone = 0xfffffffeu;
-  static constexpr std::size_t kMinTable = 64;
-
-  /// Adds mono mod 2: inserts if absent, cancels if present.
-  void toggle(const Rep& mono) {
-    maybe_grow();
-    const std::size_t mask = table_.size() - 1;
-    std::size_t i = mono.hash() & mask;
-    std::size_t first_tombstone = table_.size();
-    for (;; i = (i + 1) & mask) {
-      const std::uint32_t s = table_[i];
-      if (s == kEmpty) {
-        insert(mono, first_tombstone < table_.size() ? first_tombstone : i,
-               first_tombstone >= table_.size());
-        return;
-      }
-      if (s == kTombstone) {
-        if (first_tombstone == table_.size()) first_tombstone = i;
-        continue;
-      }
-      if (entries_[s].mono == mono) {
-        ++entries_[s].gen;  // live -> dead; stale handles stop matching
-        free_.push_back(s);
-        table_[i] = kTombstone;
-        --live_;
-        ++cancellations_;
-        return;
-      }
-    }
-  }
-
-  /// Removes a monomial known to be live (a substitution hit) without
-  /// counting it as a mod-2 cancellation.
-  void erase_known(const Rep& mono) {
-    const std::size_t mask = table_.size() - 1;
-    std::size_t i = mono.hash() & mask;
-    for (;; i = (i + 1) & mask) {
-      const std::uint32_t s = table_[i];
-      GFRE_ASSERT(s != kEmpty, "packed engine: erasing absent monomial");
-      if (s == kTombstone || !(entries_[s].mono == mono)) continue;
-      ++entries_[s].gen;
-      free_.push_back(s);
-      table_[i] = kTombstone;
-      --live_;
-      return;
-    }
-  }
-
-  void insert(const Rep& mono, std::size_t table_index, bool fresh_slot) {
-    std::uint32_t id;
-    if (!free_.empty()) {
-      id = free_.back();
-      free_.pop_back();
-    } else {
-      id = static_cast<std::uint32_t>(entries_.size());
-      entries_.emplace_back();
-    }
-    Entry& e = entries_[id];
-    e.mono = mono;
-    ++e.gen;  // dead -> live
-    table_[table_index] = id;
-    if (fresh_slot) ++used_;
-    ++live_;
-    mono.for_each_slot([&](Slot s) { occ_[s].push_back(OccRef{id, e.gen}); });
-  }
-
-  /// Validates the bucket's handles, stashing live monomials as packed
-  /// copies in hits_ and compacting the bucket in place.
-  void collect_hits(Slot var) {
-    auto& bucket = occ_[var];
-    hits_.clear();
-    std::size_t out = 0;
-    for (const OccRef& ref : bucket) {
-      if (entries_[ref.id].gen != ref.gen) continue;  // stale handle
-      hits_.push_back(entries_[ref.id].mono);
-      bucket[out++] = ref;
-    }
-    bucket.resize(out);
-    hits_var_ = var;
-    hits_valid_ = true;
-  }
-
-  void maybe_grow() {
-    if ((used_ + 1) * 8 < table_.size() * 7) return;
-    // Grow for the live set; if tombstones dominate, this rehash at the
-    // same power of two just sweeps them out.
-    std::size_t target = std::bit_ceil(std::max(kMinTable, live_ * 4));
-    table_.assign(target, kEmpty);
-    used_ = live_;
-    const std::size_t mask = table_.size() - 1;
-    for (std::uint32_t id = 0; id < entries_.size(); ++id) {
-      if ((entries_[id].gen & 1u) == 0) continue;
-      std::size_t i = entries_[id].mono.hash() & mask;
-      while (table_[i] != kEmpty) i = (i + 1) & mask;
-      table_[i] = id;
-    }
-  }
-
-  std::vector<Entry> entries_;
-  std::vector<std::uint32_t> free_;
-  std::vector<std::uint32_t> table_;  // power-of-2 open addressing
-  std::size_t live_ = 0;
-  std::size_t used_ = 0;  // live + tombstones
-  std::vector<std::vector<OccRef>> occ_;  // per-slot occurrence handles
-  std::size_t cancellations_ = 0;
-  std::size_t peak_ = 0;
-  // Per-substitution scratch, reused to avoid churn.  hits_ doubles as
-  // the occurrence_count -> substitute stash (guarded by hits_var_).
-  std::vector<Rep> hits_;
-  Slot hits_var_ = 0;
-  bool hits_valid_ = false;
-  std::vector<Rep> packed_terms_;
-};
-
-// ---------------------------------------------------------------------------
-// Kernel engine: 16-byte control-tag groups (SwissTable-style) probed and
-// compared through the anf/simd.hpp kernel table, with every table, bucket
+// The engine: 16-byte control-tag groups (SwissTable-style) probed and
+// compared through an anf/simd.hpp kernel table, with every table, bucket
 // and scratch buffer bump-allocated from the per-thread cone arena.
 //
-// Identical set semantics to the scalar engine — same toggles, same
-// cancellation accounting, same occurrence-stash protocol — so reports are
-// bit-identical whichever implementation a cone ran on.  What changes is
-// the constant factor: a probe touches a 16-byte tag group first (one
-// cache line covers four groups) and only dereferences entries whose
-// 7-bit tag matched, and cone teardown/retirement is a pointer rewind.
+// A probe touches a 16-byte tag group first (one cache line covers four
+// groups) and only dereferences entries whose 7-bit tag matched, and cone
+// teardown/retirement is a pointer rewind.  Every kernel table computes the
+// same words, so the level changes only the speed, never a result.
 // ---------------------------------------------------------------------------
 
 template <typename Rep>
@@ -610,6 +374,10 @@ class KernelEngine final : public ConeEngine::Impl {
   }
 
   void substitute(Slot var, const TermList& terms) override {
+    // Reuses the hit set stashed by an immediately preceding
+    // occurrence_count(var) — the driver's prepare/substitute pairing —
+    // so the bucket is walked once per gate.  The stash can only go stale
+    // through toggles, which happen exclusively below (and invalidate it).
     if (!hits_valid_ || hits_var_ != var) collect_hits(var);
     hits_valid_ = false;
     // `var` never reappears (reverse topological order): retire the
@@ -664,7 +432,10 @@ class KernelEngine final : public ConeEngine::Impl {
  private:
   struct Entry {
     Rep mono{};
-    std::uint32_t gen = 0;  // parity: odd = live (see scalar engine)
+    // Liveness is the generation's parity (odd = live); a stale occurrence
+    // handle is detected by generation mismatch, so a recycled entry id
+    // never aliases an old handle.
+    std::uint32_t gen = 0;
     std::uint32_t pos = 0;  // table slot holding this entry (valid while live)
   };
 
@@ -849,17 +620,14 @@ class KernelEngine final : public ConeEngine::Impl {
 
 template <typename Rep>
 ConeEngine::Impl* make_impl(std::size_t num_slots, Slot root,
-                            const simd::Kernels* kernels, simd::Level lvl) {
-  if (kernels == nullptr) {
-    return new EngineImpl<Rep>(num_slots, root);
-  }
+                            const simd::Kernels& kernels, simd::Level lvl) {
   static_assert(sizeof(KernelEngine<Rep>) <= kImplStorageBytes);
   EngineScratch& ts = thread_scratch();
   if (!ts.in_use) {
     ts.in_use = true;
     try {
       auto* impl = new (static_cast<void*>(ts.impl_storage))
-          KernelEngine<Rep>(num_slots, root, *kernels, lvl, &ts, false);
+          KernelEngine<Rep>(num_slots, root, kernels, lvl, &ts, false);
       impl->placed_ = true;
       return impl;
     } catch (...) {
@@ -871,7 +639,7 @@ ConeEngine::Impl* make_impl(std::size_t num_slots, Slot root,
   // private heap scratch is fine.
   auto scratch = std::make_unique<EngineScratch>();
   auto* impl =
-      new KernelEngine<Rep>(num_slots, root, *kernels, lvl, scratch.get(),
+      new KernelEngine<Rep>(num_slots, root, kernels, lvl, scratch.get(),
                             /*owns_scratch=*/true);
   scratch.release();  // now owned by the impl
   return impl;
@@ -894,8 +662,8 @@ ConeEngine::ConeEngine(std::size_t num_slots, Slot root) {
                    " variables, beyond the packed slot space");
   }
   const simd::Level lvl = simd::active_level();
-  const simd::Kernels* kernels =
-      lvl == simd::Level::Scalar ? nullptr : simd::kernels_for_level(lvl);
+  // active_level() never exceeds detect_level(), so its table exists.
+  const simd::Kernels& kernels = *simd::kernels_for_level(lvl);
   switch (rep_for_cone(num_slots)) {
     case RepKind::Bits64:
       impl_.reset(make_impl<BitsRep<1>>(num_slots, root, kernels, lvl));

@@ -14,17 +14,15 @@
 // handles instead of monomial copies, so a gate substitution touches only
 // the monomials that actually mention the substituted variable.
 //
-// Two implementations sit behind ConeEngine, selected per cone by
-// anf::simd::active_level():
-//   scalar   the portable linear-probing engine (no intrinsics) — also
-//            the differential baseline forced by GFRE_SIMD=scalar;
-//   kernel   a 16-byte control-tag table (SwissTable-style group probes)
-//            whose word loops run through the anf/simd.hpp kernel layer
-//            (AVX2 / AVX-512 picked at runtime) and whose tables, buckets
-//            and scratch all live in a per-thread anf::MonotonicArena —
-//            zero steady-state heap allocations per cone.
-// Both produce bit-identical polynomials and statistics; the level is a
-// pure speed knob and deliberately not part of any result-cache key.
+// The hash table probes 16-byte control-tag groups (SwissTable style) and
+// runs its word loops through an anf/simd.hpp kernel table; tables,
+// buckets and scratch all live in a per-thread anf::MonotonicArena — zero
+// steady-state heap allocations per cone.  Each
+// cone snapshots anf::simd::active_level() and runs this one engine on
+// that level's kernel table (the portable one at Scalar, AVX2 / AVX-512
+// picked at runtime otherwise).  Every table yields bit-identical
+// polynomials and statistics; the level is a pure speed knob and
+// deliberately not part of any result-cache key.
 //
 // The engine is representation-agnostic to its caller: core/rewriter.cpp
 // feeds it slot-space substitution steps and converts the final polynomial
@@ -157,7 +155,7 @@ class ConeEngine {
   RepKind rep() const;
 
   /// The kernel level this engine was constructed with (Scalar = the
-  /// portable fallback implementation).
+  /// portable kernel table).
   simd::Level level() const;
 
   /// Number of live monomials currently mentioning `var` (compacts the

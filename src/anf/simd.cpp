@@ -45,15 +45,6 @@ std::uint16_t scalar_match_tags16(const std::uint8_t* tags, std::uint8_t tag) {
   return mask;
 }
 
-std::uint16_t scalar_match_free16(const std::uint8_t* tags) {
-  std::uint16_t mask = 0;
-  for (unsigned i = 0; i < 16; ++i) {
-    mask = static_cast<std::uint16_t>(
-        mask | (static_cast<std::uint16_t>((tags[i] & 0x80u) != 0) << i));
-  }
-  return mask;
-}
-
 std::uint64_t scalar_probe_group(const std::uint8_t* tags, std::uint8_t tag) {
   std::uint64_t match = 0, empty = 0, free_ = 0;
   for (unsigned i = 0; i < 16; ++i) {
@@ -76,11 +67,6 @@ void scalar_or_words(std::uint64_t* dst, const std::uint64_t* a,
   for (std::size_t i = 0; i < n; ++i) dst[i] = a[i] | b[i];
 }
 
-void scalar_xor_words(std::uint64_t* dst, const std::uint64_t* a,
-                      const std::uint64_t* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = a[i] ^ b[i];
-}
-
 std::size_t scalar_popcount_words(const std::uint64_t* w, std::size_t n) {
   std::size_t total = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -90,9 +76,8 @@ std::size_t scalar_popcount_words(const std::uint64_t* w, std::size_t n) {
 }
 
 constexpr Kernels kScalarKernels{
-    scalar_match_tags16, scalar_match_free16,  scalar_probe_group,
-    scalar_eq_words,     scalar_or_words,      scalar_xor_words,
-    scalar_popcount_words,
+    scalar_match_tags16, scalar_probe_group, scalar_eq_words,
+    scalar_or_words, scalar_popcount_words,
 };
 
 #if GFRE_X86_KERNELS
@@ -108,13 +93,6 @@ std::uint16_t avx2_match_tags16(const std::uint8_t* tags, std::uint8_t tag) {
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags));
   const __m128i eq = _mm_cmpeq_epi8(group, _mm_set1_epi8(static_cast<char>(tag)));
   return static_cast<std::uint16_t>(_mm_movemask_epi8(eq));
-}
-
-__attribute__((target("avx2")))
-std::uint16_t avx2_match_free16(const std::uint8_t* tags) {
-  const __m128i group =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags));
-  return static_cast<std::uint16_t>(_mm_movemask_epi8(group));
 }
 
 __attribute__((target("avx2")))
@@ -162,21 +140,6 @@ void avx2_or_words(std::uint64_t* dst, const std::uint64_t* a,
   for (; i < n; ++i) dst[i] = a[i] | b[i];
 }
 
-__attribute__((target("avx2")))
-void avx2_xor_words(std::uint64_t* dst, const std::uint64_t* a,
-                    const std::uint64_t* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i),
-                        _mm256_xor_si256(va, vb));
-  }
-  for (; i < n; ++i) dst[i] = a[i] ^ b[i];
-}
-
 __attribute__((target("popcnt")))
 std::size_t avx2_popcount_words(const std::uint64_t* w, std::size_t n) {
   std::uint64_t total = 0;
@@ -187,9 +150,8 @@ std::size_t avx2_popcount_words(const std::uint64_t* w, std::size_t n) {
 }
 
 constexpr Kernels kAvx2Kernels{
-    avx2_match_tags16, avx2_match_free16, avx2_probe_group,
-    avx2_eq_words,     avx2_or_words,     avx2_xor_words,
-    avx2_popcount_words,
+    avx2_match_tags16, avx2_probe_group, avx2_eq_words,
+    avx2_or_words, avx2_popcount_words,
 };
 
 // ---------------------------------------------------------------------------
@@ -204,14 +166,6 @@ std::uint16_t avx512_match_tags16(const std::uint8_t* tags, std::uint8_t tag) {
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags));
   return static_cast<std::uint16_t>(
       _mm_cmpeq_epi8_mask(group, _mm_set1_epi8(static_cast<char>(tag))));
-}
-
-__attribute__((target("avx512f,avx512bw,avx512vl,avx512dq")))
-std::uint16_t avx512_match_free16(const std::uint8_t* tags) {
-  const __m128i group =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(tags));
-  return static_cast<std::uint16_t>(
-      _mm_movepi8_mask(group));  // sign bit per byte
 }
 
 __attribute__((target("avx512f,avx512bw,avx512vl,avx512dq")))
@@ -261,22 +215,6 @@ void avx512_or_words(std::uint64_t* dst, const std::uint64_t* a,
   }
 }
 
-__attribute__((target("avx512f,avx512bw,avx512vl,avx512dq")))
-void avx512_xor_words(std::uint64_t* dst, const std::uint64_t* a,
-                      const std::uint64_t* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_si512(dst + i, _mm512_xor_si512(_mm512_loadu_si512(a + i),
-                                                  _mm512_loadu_si512(b + i)));
-  }
-  if (i < n) {
-    const __mmask8 tail = static_cast<__mmask8>((1u << (n - i)) - 1u);
-    const __m512i v = _mm512_xor_si512(_mm512_maskz_loadu_epi64(tail, a + i),
-                                       _mm512_maskz_loadu_epi64(tail, b + i));
-    _mm512_mask_storeu_epi64(dst + i, tail, v);
-  }
-}
-
 __attribute__((target("popcnt")))
 std::size_t avx512_popcount_words(const std::uint64_t* w, std::size_t n) {
   std::uint64_t total = 0;
@@ -287,9 +225,8 @@ std::size_t avx512_popcount_words(const std::uint64_t* w, std::size_t n) {
 }
 
 constexpr Kernels kAvx512Kernels{
-    avx512_match_tags16, avx512_match_free16, avx512_probe_group,
-    avx512_eq_words,     avx512_or_words,     avx512_xor_words,
-    avx512_popcount_words,
+    avx512_match_tags16, avx512_probe_group, avx512_eq_words,
+    avx512_or_words, avx512_popcount_words,
 };
 
 #endif  // GFRE_X86_KERNELS

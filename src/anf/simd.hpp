@@ -3,16 +3,17 @@
 // The packed engine's inner loops are word operations over fixed-size
 // monomial payloads: 16-byte control-tag probes of the flat table,
 // equality of 1..13-word monomials, OR-merge (monomial product over an
-// idempotent variable set), XOR-merge and popcount degree checks.  This
+// idempotent variable set) and popcount degree checks.  This
 // header exposes them as leaf kernels behind a function-pointer table so
 // one binary carries a portable scalar implementation plus AVX2 and
 // AVX-512 variants (compiled via gcc/clang `target` attributes — no
 // ISA-specific compile flags leak into other translation units) and picks
 // the widest one the host CPU supports at runtime.
 //
-// Every variant is bit-identical by contract: the engine's results never
-// depend on the selected level, which is what lets GFRE_SIMD=scalar force
-// the fallback for differential testing without perturbing FlowReports.
+// Every variant is bit-identical by contract, and the packed engine is the
+// same code at every level — only its kernel table changes — so results
+// never depend on the selected level, and GFRE_SIMD=scalar can pin the
+// portable table for differential testing without perturbing FlowReports.
 //
 // Level selection is deliberately *not* part of core::RewriteOptions /
 // FlowOptions: it cannot change any result, so it must not change result
@@ -27,9 +28,9 @@
 
 namespace gfre::anf::simd {
 
-/// Instruction-set tiers, ordered.  Scalar routes the packed engine to the
-/// portable open-addressed implementation; Avx2/Avx512 route it to the
-/// tag-group kernel engine with the matching kernel table.
+/// Instruction-set tiers, ordered.  A level picks only the kernel table the
+/// packed engine runs on: Scalar is the portable table, Avx2/Avx512 the
+/// vector ones.
 enum class Level : int {
   Scalar = 0,
   Avx2 = 1,
@@ -56,8 +57,6 @@ Level set_level(Level level);
 struct Kernels {
   /// Bytes of tags[0..15] equal to `tag`.
   std::uint16_t (*match_tags16)(const std::uint8_t* tags, std::uint8_t tag);
-  /// Bytes of tags[0..15] with the high bit set (empty or tombstone).
-  std::uint16_t (*match_free16)(const std::uint8_t* tags);
   /// The fused probe the engine's hot loop uses — one call per group:
   /// bits [15:0] bytes equal to `tag`, bits [31:16] bytes equal to 0xFF
   /// (empty), bits [47:32] bytes with the high bit set (empty|tombstone).
@@ -68,9 +67,6 @@ struct Kernels {
   /// dst = a | b, wordwise (monomial product: idempotent slot-set union).
   void (*or_words)(std::uint64_t* dst, const std::uint64_t* a,
                    const std::uint64_t* b, std::size_t n);
-  /// dst = a ^ b, wordwise (mod-2 merge).
-  void (*xor_words)(std::uint64_t* dst, const std::uint64_t* a,
-                    const std::uint64_t* b, std::size_t n);
   /// Total set bits of w[0..n) (bitset-monomial degree).
   std::size_t (*popcount_words)(const std::uint64_t* w, std::size_t n);
 };

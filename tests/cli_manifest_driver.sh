@@ -12,6 +12,8 @@
 # 3. SIGINT while a FIFO posing as a netlist parks the only worker: both
 #    modes cancel the queued job, write both lines, and exit 130.
 # 4. Flags that mix up the two backends exit 2 with a message.
+# 5. A disk cache with one entry from another schema version and one
+#    corrupt entry: the summary counts them as 1 stale and 1 quarantined.
 set -eu
 
 BATCH=$1
@@ -189,5 +191,25 @@ for op in --ping --drain --stats; do
 done
 expect 2 "$BATCH" --jobs "$M" --ports a,b,z,extra 2> "$WORK/err"
 grep -q "ports wants exactly three" "$WORK/err" || fail "no reason for --ports"
+
+# --- 5. the disk cache summary names stale and quarantined entries ---------
+C=$WORK/cache
+expect 0 "$BATCH" --jobs "$M" --threads 2 --cache "$C" > "$WORK/cold.out"
+grep -q ", 0 stale, 0 quarantined, 0 expired (" "$WORK/cold.out" ||
+  fail "cold cache summary: $(grep 'disk cache' "$WORK/cold.out")"
+set -- "$C"/*.rpt
+[ "$#" -ge 2 ] || fail "cold run stored $# entries, want at least 2"
+# Entry header: magic (bytes 0-3), version (4-7), payload length (8-15),
+# payload digest (16-47), then the payload.
+printf '\377\377\377\377' | dd of="$1" bs=1 seek=4 count=4 conv=notrunc \
+  2>/dev/null
+byte=$(od -An -tu1 -j 60 -N 1 "$2" | tr -d ' ')
+# shellcheck disable=SC2059  # the format is the octal escape of one byte
+printf "\\$(printf '%03o' $((255 - byte)))" |
+  dd of="$2" bs=1 seek=60 count=1 conv=notrunc 2>/dev/null
+expect 0 "$BATCH" --jobs "$M" --threads 2 --cache "$C" > "$WORK/warm.out"
+grep -q "2 disk misses, 2 stores, 1 stale, 1 quarantined, 0 expired (" \
+  "$WORK/warm.out" ||
+  fail "damaged cache summary: $(grep 'disk cache' "$WORK/warm.out")"
 
 echo "cli_manifest_driver: all checks passed"

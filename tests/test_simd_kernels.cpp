@@ -1,17 +1,23 @@
-// Differential suite for the SIMD kernel layer and the arena-backed kernel
-// engine: every vector level compiled into the binary must be bit-identical
-// to the portable scalar fallback — at the word-kernel level (random
-// payloads, boundary word counts), at the engine level (every RepKind,
-// including widths straddling the 64- and 512-bit representation
-// boundaries), and at the whole-flow level (FlowReports across generator
-// families and thread counts).  Also unit-covers MonotonicArena/ArenaVector
-// and asserts the acceptance property that a cone extraction performs zero
-// steady-state heap allocations once the per-thread arena is warm.
+// Differential suite for the SIMD kernel layer and the arena-backed packed
+// engine.  The engine is one piece of code at every level; a level only
+// picks its kernel table.  Every vector table compiled into the binary must
+// be bit-identical to the portable scalar table at the word-kernel level
+// (random payloads, boundary word counts) and at the whole-flow level
+// (FlowReports across generator families and thread counts).  At the
+// engine level, every executable level — Scalar included — is checked
+// against a textbook mod-2 set model over every RepKind, including widths
+// straddling the 64- and 512-bit representation boundaries.  Also
+// unit-covers MonotonicArena/ArenaVector and asserts, at every level, that
+// a cone extraction performs zero steady-state heap allocations once the
+// per-thread arena is warm.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <iterator>
 #include <new>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -177,8 +183,6 @@ TEST(SimdKernels, TagProbesMatchScalarOnRandomGroups) {
       const auto tag = static_cast<std::uint8_t>(rng.next_u64() & 0x7F);
       EXPECT_EQ(k.match_tags16(tags, tag), scalar.match_tags16(tags, tag))
           << simd::to_string(level) << " round " << round;
-      EXPECT_EQ(k.match_free16(tags), scalar.match_free16(tags))
-          << simd::to_string(level) << " round " << round;
       EXPECT_EQ(k.probe_group(tags, tag), scalar.probe_group(tags, tag))
           << simd::to_string(level) << " round " << round;
     }
@@ -233,9 +237,6 @@ TEST(SimdKernels, WordKernelsMatchScalarAtBoundaryWordCounts) {
         k.or_words(got.data(), a.data(), b.data(), n);
         scalar.or_words(want.data(), a.data(), b.data(), n);
         EXPECT_EQ(got, want) << simd::to_string(level) << " or n=" << n;
-        k.xor_words(got.data(), a.data(), b.data(), n);
-        scalar.xor_words(want.data(), a.data(), b.data(), n);
-        EXPECT_EQ(got, want) << simd::to_string(level) << " xor n=" << n;
       }
     }
   }
@@ -317,7 +318,8 @@ TEST(Arena, ArenaVectorGrowsAndSurvivesReset) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level differential: every representation tier, scalar vs SIMD
+// Engine-level reference: every representation tier at every level against
+// a textbook mod-2 set model
 // ---------------------------------------------------------------------------
 
 struct Step {
@@ -359,6 +361,49 @@ struct EngineRun {
   RepKind rep = RepKind::Bits64;
 };
 
+/// Algorithm 1 on a plain ordered set: each substitution removes the
+/// monomials containing `var` and toggles (monomial \ var) * term for every
+/// gate term, counting a toggle that finds its product present as one mod-2
+/// cancellation; the peak is sampled after each substitution, as the engine
+/// does.  Products never contain `var`, so removing every hit before the
+/// toggles gives the same set and counts as the engine's interleaving.
+EngineRun run_model(std::size_t num_slots, const std::vector<Step>& script) {
+  std::set<SlotMono> poly{SlotMono{static_cast<Slot>(num_slots - 1)}};
+  EngineRun run;
+  run.peak_terms = poly.size();
+  for (const Step& step : script) {
+    std::vector<SlotMono> rests;
+    for (auto it = poly.begin(); it != poly.end();) {
+      if (std::binary_search(it->begin(), it->end(), step.var)) {
+        SlotMono rest;
+        std::remove_copy(it->begin(), it->end(), std::back_inserter(rest),
+                         step.var);
+        rests.push_back(std::move(rest));
+        it = poly.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    for (const SlotMono& rest : rests) {
+      for (std::size_t t = 0; t < step.terms.term_count(); ++t) {
+        SlotMono product;
+        std::set_union(rest.begin(), rest.end(), step.terms.term_begin(t),
+                       step.terms.term_end(t), std::back_inserter(product));
+        if (poly.erase(product) != 0) {
+          ++run.cancellations;
+        } else {
+          poly.insert(std::move(product));
+        }
+      }
+    }
+    run.peak_terms = std::max(run.peak_terms, poly.size());
+  }
+  run.monomials.assign(poly.begin(), poly.end());
+  run.size = poly.size();
+  run.rep = anf::packed::rep_for_cone(num_slots);
+  return run;
+}
+
 EngineRun run_script(std::size_t num_slots, const std::vector<Step>& script,
                      simd::Level level) {
   LevelGuard guard(level);
@@ -379,14 +424,12 @@ EngineRun run_script(std::size_t num_slots, const std::vector<Step>& script,
 
 class EngineWidths : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(EngineWidths, EveryLevelMatchesScalarBitForBit) {
+TEST_P(EngineWidths, EveryLevelMatchesTextbookModel) {
   const std::size_t num_slots = GetParam();
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const auto script = make_script(num_slots, seed * 0x9e37 + num_slots);
-    const EngineRun want = run_script(num_slots, script, simd::Level::Scalar);
-    EXPECT_EQ(want.rep, anf::packed::rep_for_cone(num_slots));
+    const EngineRun want = run_model(num_slots, script);
     for (simd::Level level : executable_levels()) {
-      if (level == simd::Level::Scalar) continue;
       const EngineRun got = run_script(num_slots, script, level);
       const std::string label = std::string(simd::to_string(level)) +
                                 " slots=" + std::to_string(num_slots) +
@@ -529,11 +572,6 @@ TEST(SimdFlow, Bits512AndSparseConesMatchScalar) {
 // ---------------------------------------------------------------------------
 
 TEST(SimdEngine, ConeExtractionIsAllocationFreeAfterWarmup) {
-  if (simd::detect_level() == simd::Level::Scalar) {
-    GTEST_SKIP() << "kernel engine (arena-backed) needs a vector level; the "
-                    "scalar fallback engine is deliberately untouched";
-  }
-  LevelGuard guard(simd::detect_level());
   // A wide-enough script to force table growth and occurrence-bucket
   // churn, prebuilt so the measured loop touches no std::vector growth.
   const std::size_t num_slots = 300;
@@ -545,20 +583,23 @@ TEST(SimdEngine, ConeExtractionIsAllocationFreeAfterWarmup) {
     return engine.size();
   };
 
-  // Warmup: grows the thread's arena chunks and the table to their
-  // steady-state footprint.
-  const std::size_t warm_size = run_cone();
+  for (simd::Level level : executable_levels()) {
+    LevelGuard guard(level);
+    // Warmup: grows the thread's arena chunks and the table to their
+    // steady-state footprint.
+    const std::size_t warm_size = run_cone();
 
-  // Steady state: the identical cone must allocate nothing at all.
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  const std::size_t size1 = run_cone();
-  const std::size_t size2 = run_cone();
-  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0u)
-      << "kernel-engine cone extraction must be allocation-free after "
-         "arena warmup";
-  EXPECT_EQ(size1, warm_size);
-  EXPECT_EQ(size2, warm_size);
+    // Steady state: the identical cone must allocate nothing at all.
+    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+    const std::size_t size1 = run_cone();
+    const std::size_t size2 = run_cone();
+    const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u)
+        << simd::to_string(level)
+        << ": cone extraction must be allocation-free after arena warmup";
+    EXPECT_EQ(size1, warm_size) << simd::to_string(level);
+    EXPECT_EQ(size2, warm_size) << simd::to_string(level);
+  }
 }
 
 TEST(SimdEngine, AllocationCounterHookIsLive) {
