@@ -25,8 +25,8 @@
 // paper's "runtime" definition; both runs' ANFs are asserted
 // bit-identical before any number is reported.  Results also land in
 // BENCH_rewriting.json (strategy x family x m -> seconds, peak_terms, and
-// for the crypto tier the SIMD level and peak RSS) for the CI perf-trend
-// artifact; GFRE_BENCH_JSON overrides the path.
+// for the crypto tier the SIMD level) for the CI perf-trend artifact;
+// GFRE_BENCH_JSON overrides the path.
 #include <algorithm>
 #include <cmath>
 #include <functional>
@@ -159,8 +159,7 @@ int main() {
   // throughput rather than scheduler behavior.  Scalar and SIMD runs
   // alternate back-to-back and each side keeps its minimum over the
   // repetitions — the ratio of minimums is far more stable than the ratio
-  // of single runs on a shared CI box.  Peak RSS is reset before each
-  // config's first run so the recorded figure covers that extraction alone.
+  // of single runs on a shared CI box.
   const simd::Level simd_level = simd::active_level();
   const int tier_reps =
       static_cast<int>(env_long("GFRE_LARGE_M_REPS", 3));
@@ -168,7 +167,7 @@ int main() {
 
   TextTable tier_table({"family", "m", "#eqns", "scalar(s)",
                         std::string(simd::to_string(simd_level)) + "(s)",
-                        "speedup", "peak-rss"});
+                        "speedup"});
   std::vector<double> tier_speedups;
 
   const auto timed_run = [&](const nl::Netlist& netlist, simd::Level level,
@@ -196,8 +195,6 @@ int main() {
       core::ExtractionResult scalar_result, simd_result;
       double scalar_seconds = 1e300;
       double simd_seconds = 1e300;
-      reset_peak_rss();
-      std::uint64_t rss = 0;
       for (int rep = 0; rep < tier_reps; ++rep) {
         scalar_seconds = std::min(
             scalar_seconds,
@@ -206,7 +203,6 @@ int main() {
         simd_seconds = std::min(
             simd_seconds, timed_run(netlist, simd_level,
                                     rep == 0 ? &simd_result : nullptr));
-        if (rep == 0) rss = peak_rss_bytes();
       }
       simd::set_level(simd_level);
 
@@ -224,7 +220,7 @@ int main() {
                           fmt_thousands(netlist.num_equations()),
                           fmt_double(scalar_seconds, 3),
                           fmt_double(simd_seconds, 3),
-                          fmt_double(speedup, 2), format_bytes(rss)});
+                          fmt_double(speedup, 2)});
 
       const struct {
         const char* level;
@@ -243,8 +239,7 @@ int main() {
             .add("equations", netlist.num_equations())
             .add("threads", 1u)
             .add("seconds", row.seconds)
-            .add("peak_terms", row.result->total_peak_terms)
-            .add("peak_rss_bytes", rss);
+            .add("peak_terms", row.result->total_peak_terms);
       }
       std::printf("  done crypto tier %s m=%u (%.2fx)\n", family.name, m,
                   speedup);

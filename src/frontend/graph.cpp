@@ -32,13 +32,9 @@ nl::Var emit_bool_expr(nl::Netlist& netlist, const BoolExpr& expr,
 }  // namespace
 
 GraphBuilder::NameId GraphBuilder::intern(std::string_view name) {
-  const auto [it, fresh] = ids_.try_emplace(
-      std::string(name), static_cast<NameId>(names_.size()));
-  if (fresh) {
-    names_.push_back(&it->first);
-    def_.push_back(0);
-  }
-  return it->second;
+  const auto [id, fresh] = names_.intern(name);
+  if (fresh) def_.push_back(0);
+  return id;
 }
 
 GraphBuilder::Pos GraphBuilder::pos_of(const Loc& loc) {
@@ -119,10 +115,12 @@ void GraphBuilder::add_node(std::string_view out,
 
 nl::Var GraphBuilder::emit(nl::Netlist& netlist, const Node& node,
                            std::span<const nl::Var> args) {
-  const std::string& out = name(node.output);
+  // `out` lives in the netlist's name table, whose names never move.
+  const std::string& out = netlist.names().name(node.output);
   switch (node.kind) {
     case Node::Kind::Gate:
-      return netlist.add_gate(node.type, {args.begin(), args.end()}, out);
+      return netlist.add_gate(node.type, {args.begin(), args.end()},
+                              node.output);
     case Node::Kind::Function:
       return emit_bool_expr(netlist, *node.function, args, out);
     case Node::Kind::Custom:
@@ -140,6 +138,7 @@ void GraphBuilder::instantiate(nl::Netlist& netlist) {
     std::uint32_t node;
     std::uint32_t next_arg;
   };
+  const util::NameTable& names = netlist.names();
   std::vector<Frame> stack;
   std::vector<nl::Var> args;
   for (std::uint32_t root = 0; root < nodes_.size(); ++root) {
@@ -155,12 +154,12 @@ void GraphBuilder::instantiate(nl::Netlist& netlist) {
         const std::uint32_t def = def_[arg];
         if (def == kInput) continue;  // inputs pre-created
         if (def == 0)
-          fail_at(loc_of(node.pos), "undefined net '" + name(arg) + "'");
+          fail_at(loc_of(node.pos), "undefined net '" + names.name(arg) + "'");
         Node& dep = nodes_[def - 1];
         if (dep.state == 2) continue;
         if (dep.state == 1)
           fail_at(loc_of(node.pos),
-                  "combinational cycle through '" + name(arg) + "'");
+                  "combinational cycle through '" + names.name(arg) + "'");
         dep.state = 1;
         stack.push_back({def - 1, dep.args_begin});
         descended = true;
@@ -172,8 +171,8 @@ void GraphBuilder::instantiate(nl::Netlist& netlist) {
       for (std::uint32_t i = node.args_begin; i < node.args_end; ++i)
         args.push_back(var_[args_[i]]);
       const nl::Var v = emit(netlist, node, args);
-      GFRE_ASSERT(netlist.var_name(v) == name(node.output),
-                  "frontend node for '" << name(node.output)
+      GFRE_ASSERT(&netlist.var_name(v) == &names.name(node.output),
+                  "frontend node for '" << names.name(node.output)
                                         << "' did not create its net");
       var_[node.output] = v;
       node.state = 2;
@@ -184,15 +183,17 @@ void GraphBuilder::instantiate(nl::Netlist& netlist) {
 
 nl::Netlist GraphBuilder::build() {
   nl::Netlist netlist;
-  // Reserve every node output so auto-generated helper names never take a
-  // declared one, regardless of instantiation order.
-  for (const Node& node : nodes_) netlist.reserve_name(name(node.output));
+  // Every interned name is reserved in the netlist, so auto-generated
+  // helper names never take a declared one, regardless of instantiation
+  // order.
   var_.assign(names_.size(), 0);
-  for (NameId id : inputs_) var_[id] = netlist.add_input(name(id));
+  netlist.adopt_names(std::move(names_));
+  for (NameId id : inputs_) var_[id] = netlist.add_input(id);
   instantiate(netlist);
   for (const auto& [id, pos] : outputs_) {
     if (def_[id] == 0)
-      fail_at(loc_of(pos), "undriven output '" + name(id) + "'");
+      fail_at(loc_of(pos),
+              "undriven output '" + netlist.names().name(id) + "'");
     netlist.mark_output(var_[id]);
   }
   return netlist;

@@ -2,12 +2,16 @@
 //
 // Parsers declare inputs and outputs and add nodes — "net <output> is
 // computed from nets <args> by <what to emit>" — in source order.  Each
-// net name is interned once, when an add_* call first sees it; a node is a
-// plain record over name ids.  build() instantiates a Netlist by a
-// depth-first traversal over those ids, so statements may appear in any
-// order and every structural diagnostic (undefined net, double
-// definition, combinational cycle, driven input, undriven output) comes
-// from one implementation with the source location of the statement.
+// net name is hashed and stored once, when an add_* call first sees it,
+// into a util::NameTable; a node is a plain record over its ids.  build()
+// moves that table into the Netlist it makes (every name reserved there,
+// so auto-named helper gates never take a declared name) and instantiates
+// the nodes by a depth-first traversal over the ids, so statements may
+// appear in any order and every structural diagnostic (undefined net,
+// double definition, combinational cycle, driven input, undriven output)
+// comes from one implementation with the source location of the
+// statement.  Inputs and builtin gates get their nets by table id;
+// function and custom nodes pass their output by name.
 //
 // Emission lives here too.  A node is a builtin gate, or a BoolExpr
 // function whose pin i is the node's arg i, emitted one gate per BoolExpr
@@ -28,7 +32,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "frontend/cell_library.hpp"
@@ -45,11 +48,6 @@ using EmitFn = std::function<nl::Var(
 
 class GraphBuilder {
  public:
-  GraphBuilder() = default;
-  // names_ points into ids_, so a copy would point into the original.
-  GraphBuilder(const GraphBuilder&) = delete;
-  GraphBuilder& operator=(const GraphBuilder&) = delete;
-
   /// Declares a primary input (declaration order = Var id order).
   void add_input(std::string_view name, const Loc& loc);
 
@@ -76,10 +74,11 @@ class GraphBuilder {
                 const Loc& loc, EmitFn emit);
 
   /// Instantiates the netlist; throws ParseError on structural problems.
+  /// Call once: the name table moves into the result.
   nl::Netlist build();
 
  private:
-  using NameId = std::uint32_t;
+  using NameId = nl::NameId;
 
   /// A source position with its file as an index into files_.
   struct Pos {
@@ -104,7 +103,6 @@ class GraphBuilder {
   NameId intern(std::string_view name);
   Pos pos_of(const Loc& loc);
   Loc loc_of(const Pos& pos) const;
-  const std::string& name(NameId id) const { return *names_[id]; }
   /// Registers a Gate node for `out` (callers retag it) after the
   /// double-definition checks.
   Node& push_node(std::string_view out, std::span<const std::string_view> args,
@@ -114,8 +112,7 @@ class GraphBuilder {
   void instantiate(nl::Netlist& netlist);
 
   std::vector<SourceName> files_;  ///< one entry per run of statements
-  std::unordered_map<std::string, NameId> ids_;
-  std::vector<const std::string*> names_;  ///< id -> key in ids_
+  util::NameTable names_;  ///< moved into the netlist by build()
   /// Per id: 0 undefined, kInput, or driving node index + 1.
   std::vector<std::uint32_t> def_;
   std::vector<NameId> inputs_;

@@ -1,5 +1,6 @@
 #include "frontend/source.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <filesystem>
 
@@ -28,75 +29,105 @@ LineScanner::LineScanner(std::string_view text, std::string file,
 
 namespace {
 
+constexpr bool is_blank(char c) { return c == ' ' || c == '\t'; }
+constexpr bool is_trailing_space(char c) { return is_blank(c) || c == '\r'; }
+
 void rstrip(std::string& s) {
-  while (!s.empty() &&
-         (s.back() == ' ' || s.back() == '\t' || s.back() == '\r'))
-    s.pop_back();
+  while (!s.empty() && is_trailing_space(s.back())) s.pop_back();
 }
 
 }  // namespace
 
-std::optional<LogicalLine> LineScanner::next() {
-  while (pos_ < text_.size() || in_block_comment_) {
-    if (in_block_comment_ && pos_ >= text_.size()) break;
-    std::string out;
-    const int start_line = line_;
-    bool more = true;   // keep appending physical lines (continuation)
-    while (more) {
-      more = false;
-      // One physical line into `out`, honoring comments.
-      while (pos_ < text_.size() && text_[pos_] != '\n') {
-        char c = text_[pos_];
-        if (in_block_comment_) {
-          if (c == '*' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '/') {
-            in_block_comment_ = false;
-            pos_ += 2;
-            continue;
-          }
-          ++pos_;
-          continue;
-        }
-        if (syntax_.hash_comments && c == '#') {
-          while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-          break;
-        }
-        if (syntax_.slash_comments && c == '/' && pos_ + 1 < text_.size() &&
-            text_[pos_ + 1] == '/') {
-          while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-          break;
-        }
-        if (syntax_.block_comments && c == '/' && pos_ + 1 < text_.size() &&
-            text_[pos_ + 1] == '*') {
-          in_block_comment_ = true;
-          block_comment_line_ = line_;
+bool LineScanner::plain_line(std::string_view* trimmed) {
+  if (in_block_comment_) return false;
+  const std::size_t end = std::min(text_.find('\n', pos_), text_.size());
+  std::string_view line = text_.substr(pos_, end - pos_);
+  const bool slashes = syntax_.slash_comments || syntax_.block_comments;
+  for (char c : line)
+    if ((c == '#' && syntax_.hash_comments) || (c == '/' && slashes))
+      return false;
+  while (!line.empty() && is_trailing_space(line.back())) line.remove_suffix(1);
+  if (syntax_.backslash_continuation && !line.empty() && line.back() == '\\')
+    return false;
+  while (!line.empty() && is_blank(line.front())) line.remove_prefix(1);
+  pos_ = end;
+  if (pos_ < text_.size()) {  // consume the '\n'
+    ++pos_;
+    ++line_;
+  }
+  *trimmed = line;
+  return true;
+}
+
+void LineScanner::splice_line() {
+  std::string& out = buffer_;
+  out.clear();
+  bool more = true;  // keep appending physical lines (continuation)
+  while (more) {
+    more = false;
+    // One physical line into `out`, honoring comments.
+    while (pos_ < text_.size() && text_[pos_] != '\n') {
+      char c = text_[pos_];
+      if (in_block_comment_) {
+        if (c == '*' && pos_ + 1 < text_.size() && text_[pos_ + 1] == '/') {
+          in_block_comment_ = false;
           pos_ += 2;
           continue;
         }
-        out += c;
         ++pos_;
+        continue;
       }
-      if (pos_ < text_.size()) {  // consume the '\n'
-        ++pos_;
-        ++line_;
+      if (syntax_.hash_comments && c == '#') {
+        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
+        break;
       }
-      rstrip(out);
-      if (syntax_.backslash_continuation && !out.empty() &&
-          out.back() == '\\' && (pos_ < text_.size() || in_block_comment_)) {
-        out.pop_back();
-        rstrip(out);
-        out += ' ';
-        more = true;
-      } else if (syntax_.backslash_continuation && !out.empty() &&
-                 out.back() == '\\') {
-        out.pop_back();  // trailing continuation at EOF: drop it
-        rstrip(out);
+      if (syntax_.slash_comments && c == '/' && pos_ + 1 < text_.size() &&
+          text_[pos_ + 1] == '/') {
+        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
+        break;
       }
-      if (more && pos_ >= text_.size() && !in_block_comment_) more = false;
+      if (syntax_.block_comments && c == '/' && pos_ + 1 < text_.size() &&
+          text_[pos_ + 1] == '*') {
+        in_block_comment_ = true;
+        block_comment_line_ = line_;
+        pos_ += 2;
+        continue;
+      }
+      out += c;
+      ++pos_;
     }
-    // Strip leading whitespace.
-    std::size_t first = out.find_first_not_of(" \t");
-    if (first == std::string::npos) continue;
-    return LogicalLine{out.substr(first), start_line};
+    if (pos_ < text_.size()) {  // consume the '\n'
+      ++pos_;
+      ++line_;
+    }
+    rstrip(out);
+    if (syntax_.backslash_continuation && !out.empty() &&
+        out.back() == '\\' && (pos_ < text_.size() || in_block_comment_)) {
+      out.pop_back();
+      rstrip(out);
+      out += ' ';
+      more = true;
+    } else if (syntax_.backslash_continuation && !out.empty() &&
+               out.back() == '\\') {
+      out.pop_back();  // trailing continuation at EOF: drop it
+      rstrip(out);
+    }
+    if (more && pos_ >= text_.size() && !in_block_comment_) more = false;
+  }
+}
+
+std::optional<LogicalLine> LineScanner::next() {
+  while (pos_ < text_.size() || in_block_comment_) {
+    if (in_block_comment_ && pos_ >= text_.size()) break;
+    const int start_line = line_;
+    std::string_view line;
+    if (!plain_line(&line)) {
+      splice_line();
+      line = buffer_;
+      while (!line.empty() && is_blank(line.front())) line.remove_prefix(1);
+    }
+    if (line.empty()) continue;
+    return LogicalLine{line, start_line};
   }
   if (in_block_comment_)
     throw ParseError(file_, block_comment_line_,

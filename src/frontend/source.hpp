@@ -64,14 +64,18 @@ struct LineSyntax {
 
 /// One logical line: comments stripped, CR/trailing whitespace removed,
 /// continuations joined.  `line` is the physical line the logical line
-/// started on.
+/// started on.  `text` views the scanner's input, or the scanner's own
+/// buffer when a comment or a continuation splices the line, so it is
+/// valid only until the next call to LineScanner::next.
 struct LogicalLine {
-  std::string text;
+  std::string_view text;
   int line = 0;
 };
 
 /// Splits text into logical lines under a dialect's LineSyntax.  Blank
-/// (post-strip) lines are skipped.
+/// (post-strip) lines are skipped.  A physical line with no comment
+/// start and no continuation is returned as a view into `text`, without
+/// copying it; `text` must outlive the scanner.
 class LineScanner {
  public:
   LineScanner(std::string_view text, std::string file, LineSyntax syntax);
@@ -81,7 +85,15 @@ class LineScanner {
   std::optional<LogicalLine> next();
 
  private:
+  /// The physical line at pos_, trimmed, when no comment or continuation
+  /// can touch it: consumes it and returns true.
+  bool plain_line(std::string_view* trimmed);
+  /// The general path: one logical line into buffer_, honoring comments
+  /// and continuations.
+  void splice_line();
+
   std::string_view text_;
+  std::string buffer_;  ///< spliced lines, reused across calls
   std::string file_;
   LineSyntax syntax_;
   std::size_t pos_ = 0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <string_view>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -48,24 +50,38 @@ std::string cell_name(CellType type) {
   throw InvalidArgument("unknown cell type");
 }
 
-CellType cell_from_name(const std::string& name) {
-  std::string up = name;
-  std::transform(up.begin(), up.end(), up.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
-  for (CellType t : kAllCells) {
-    if (cell_name(t) == up) return t;
-  }
-  // Common aliases used by synthesis netlists.
-  if (up == "NOT") return CellType::Inv;
-  if (up == "BUFF") return CellType::Buf;
-  if (up == "AND2" || up == "AND3" || up == "AND4") return CellType::And;
-  if (up == "OR2" || up == "OR3" || up == "OR4") return CellType::Or;
-  if (up == "XOR2" || up == "XOR3") return CellType::Xor;
-  if (up == "XNOR2") return CellType::Xnor;
-  if (up == "NAND2" || up == "NAND3" || up == "NAND4") return CellType::Nand;
-  if (up == "NOR2" || up == "NOR3") return CellType::Nor;
-  if (up == "MUX2") return CellType::Mux;
-  throw InvalidArgument("unknown cell name '" + name + "'");
+CellType cell_from_name(std::string_view name) {
+  // Canonical mnemonics (cell_name) first, then the aliases synthesis
+  // netlists use.
+  static constexpr std::pair<std::string_view, CellType> kNames[] = {
+      {"CONST0", CellType::Const0}, {"CONST1", CellType::Const1},
+      {"BUF", CellType::Buf},       {"INV", CellType::Inv},
+      {"AND", CellType::And},       {"OR", CellType::Or},
+      {"XOR", CellType::Xor},       {"XNOR", CellType::Xnor},
+      {"NAND", CellType::Nand},     {"NOR", CellType::Nor},
+      {"MUX", CellType::Mux},       {"AOI21", CellType::Aoi21},
+      {"OAI21", CellType::Oai21},   {"AOI22", CellType::Aoi22},
+      {"OAI22", CellType::Oai22},   {"MAJ3", CellType::Maj3},
+      {"NOT", CellType::Inv},       {"BUFF", CellType::Buf},
+      {"AND2", CellType::And},      {"AND3", CellType::And},
+      {"AND4", CellType::And},      {"OR2", CellType::Or},
+      {"OR3", CellType::Or},        {"OR4", CellType::Or},
+      {"XOR2", CellType::Xor},      {"XOR3", CellType::Xor},
+      {"XNOR2", CellType::Xnor},    {"NAND2", CellType::Nand},
+      {"NAND3", CellType::Nand},    {"NAND4", CellType::Nand},
+      {"NOR2", CellType::Nor},      {"NOR3", CellType::Nor},
+      {"MUX2", CellType::Mux},
+  };
+  const auto same = [](std::string_view upper, std::string_view any) {
+    return upper.size() == any.size() &&
+           std::equal(upper.begin(), upper.end(), any.begin(),
+                      [](char u, char c) {
+                        return u == std::toupper(static_cast<unsigned char>(c));
+                      });
+  };
+  for (const auto& [mnemonic, type] : kNames)
+    if (same(mnemonic, name)) return type;
+  throw InvalidArgument("unknown cell name '" + std::string(name) + "'");
 }
 
 bool arity_ok(CellType type, std::size_t arity) {

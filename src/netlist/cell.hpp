@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "anf/anf.hpp"
@@ -48,7 +49,7 @@ std::string cell_name(CellType type);
 
 /// Inverse of cell_name (case-insensitive); throws InvalidArgument on
 /// unknown names.
-CellType cell_from_name(const std::string& name);
+CellType cell_from_name(std::string_view name);
 
 /// Checks whether `arity` inputs are legal for the cell type.
 bool arity_ok(CellType type, std::size_t arity);

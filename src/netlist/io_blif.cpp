@@ -80,9 +80,10 @@ struct Cover {
   int line = 0;
 };
 
-/// Whitespace-separated tokens of `line`, as views into it.
-std::vector<std::string_view> split_ws(std::string_view line) {
-  std::vector<std::string_view> tokens;
+/// Whitespace-separated tokens of `line`, as views into it, into `tokens`
+/// (cleared first; the reader reuses one vector for every line).
+void split_ws(std::string_view line, std::vector<std::string_view>& tokens) {
+  tokens.clear();
   std::size_t pos = 0;
   while (true) {
     pos = line.find_first_not_of(" \t\r\n\v\f", pos);
@@ -92,7 +93,6 @@ std::vector<std::string_view> split_ws(std::string_view line) {
     tokens.push_back(line.substr(pos, end - pos));
     pos = end;
   }
-  return tokens;
 }
 
 /// Builds the gates for one .names node and returns the net named
@@ -122,8 +122,9 @@ Var synthesize_node(Netlist& netlist, const Cover& cover,
     bool value;
   };
   std::vector<Row> rows;
+  std::vector<std::string_view> tokens;
   for (const std::string& text : cover.rows) {
-    const auto tokens = split_ws(text);
+    split_ws(text, tokens);
     if (n == 0) {
       if (tokens.size() != 1 || (tokens[0] != "0" && tokens[0] != "1")) {
         fail("bad constant cover row");
@@ -240,12 +241,13 @@ Netlist read_blif(const std::string& text, const std::string& filename) {
   // The .names block being collected: rows attach to it until the next
   // directive.
   std::vector<std::string> signals;  // inputs..., output last
+  std::vector<std::string_view> names;  // views of `signals`
   std::shared_ptr<Cover> current;
   frontend::Loc cover_loc{filename, 0, 0};
 
   auto finish_current = [&]() {
     if (!current) return;
-    const std::vector<std::string_view> names(signals.begin(), signals.end());
+    names.assign(signals.begin(), signals.end());
     cover_loc.line = current->line;
     builder.add_node(
         names.back(), std::span(names).first(names.size() - 1), cover_loc,
@@ -258,9 +260,10 @@ Netlist read_blif(const std::string& text, const std::string& filename) {
   };
 
   frontend::Loc loc{filename, 0, 0};
+  std::vector<std::string_view> tokens;  // reused by every line
   while (auto logical = scanner.next()) {
     loc.line = logical->line;
-    const auto tokens = split_ws(logical->text);
+    split_ws(logical->text, tokens);
     if (tokens.empty()) continue;
     const std::string_view keyword = tokens[0];
     if (keyword == ".model") {
@@ -287,7 +290,7 @@ Netlist read_blif(const std::string& text, const std::string& filename) {
                                  std::string(keyword) + "'");
     } else {
       if (!current) frontend::fail_at(loc, "cover row outside .names");
-      current->rows.push_back(std::move(logical->text));
+      current->rows.emplace_back(logical->text);
     }
   }
   finish_current();

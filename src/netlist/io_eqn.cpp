@@ -45,16 +45,28 @@ bool is_ident_char(char c) {
          c == '[' || c == ']' || c == '.' || c == '$';
 }
 
-/// Identifier tokens of `text`, as views into it.
-std::vector<std::string_view> tokenize_names(std::string_view text) {
-  std::vector<std::string_view> names;
+/// Identifier tokens of `text`, as views into it, into `names` (cleared
+/// first; the readers reuse one vector for every statement).
+void tokenize_names(std::string_view text,
+                    std::vector<std::string_view>& names) {
+  names.clear();
   std::size_t begin = 0;
   for (std::size_t i = 0; i <= text.size(); ++i) {
     if (i < text.size() && is_ident_char(text[i])) continue;
     if (i > begin) names.push_back(text.substr(begin, i - begin));
     begin = i + 1;
   }
-  return names;
+}
+
+/// `line` starts with declaration keyword `keyword` (a whole word); the
+/// rest of the line is returned in `rest`.
+bool starts_with_keyword(std::string_view line, std::string_view keyword,
+                         std::string_view* rest) {
+  if (!line.starts_with(keyword) ||
+      (line.size() > keyword.size() && is_ident_char(line[keyword.size()])))
+    return false;
+  *rest = line.substr(keyword.size());
+  return true;
 }
 
 /// Registers the node for `lhs = op(args)`: builtin mnemonics become single
@@ -65,12 +77,12 @@ void add_equation_node(frontend::GraphBuilder& builder, std::string_view lhs,
                        std::span<const std::string_view> args,
                        const frontend::Loc& loc,
                        const frontend::CellLibrary* library) {
-  const std::string op_name(op);
   CellType type{};
   try {
-    type = cell_from_name(op_name);
+    type = cell_from_name(op);
   } catch (const InvalidArgument& e) {
     if (!library) frontend::fail_at(loc, e.what());
+    const std::string op_name(op);
     const frontend::LibCell* cell = library->find(op_name);
     if (!cell) {
       // Match the builtin mnemonic error shape, mentioning the library.
@@ -87,7 +99,7 @@ void add_equation_node(frontend::GraphBuilder& builder, std::string_view lhs,
     return;
   }
   if (!arity_ok(type, args.size()))
-    frontend::fail_at(loc, "bad arity for " + op_name);
+    frontend::fail_at(loc, "bad arity for " + std::string(op));
   builder.add_gate(lhs, type, args, loc);
 }
 
@@ -104,6 +116,7 @@ Netlist read_eqn(const std::string& text, const std::string& filename,
   const frontend::CellLibrary* library = options.library.get();
 
   frontend::Loc loc{filename, 0, 0};
+  std::vector<std::string_view> names;  // reused by every statement
   while (auto logical = scanner.next()) {
     std::string_view line = logical->text;
     loc.line = logical->line;
@@ -113,53 +126,52 @@ Netlist read_eqn(const std::string& text, const std::string& filename,
       line.remove_suffix(1);
     if (line.empty()) continue;
 
-    if (line.starts_with("model ")) {
-      line.remove_prefix(6);
-      while (!line.empty() &&
-             std::isspace(static_cast<unsigned char>(line.front())))
-        line.remove_prefix(1);
-      model = line;
-      continue;
-    }
-    if (line.starts_with("input") &&
-        (line.size() == 5 || !is_ident_char(line[5]))) {
-      for (std::string_view n : tokenize_names(line.substr(5)))
-        builder.add_input(n, loc);
-      continue;
-    }
-    if (line.starts_with("output") &&
-        (line.size() == 6 || !is_ident_char(line[6]))) {
-      for (std::string_view n : tokenize_names(line.substr(6)))
-        builder.add_output(n, loc);
-      continue;
-    }
+    // A statement with '=' is an equation, so a net may be named `model`,
+    // `input` or `output`; the keywords lead only declarations.
     const auto eq = line.find('=');
-    if (eq == std::string_view::npos)
-      frontend::fail_at(loc, "unrecognized statement: " + std::string(line));
-    const auto lhs_names = tokenize_names(line.substr(0, eq));
-    if (lhs_names.size() != 1)
+    std::string_view rest;
+    if (eq == std::string_view::npos) {
+      if (line.starts_with("model ")) {
+        line.remove_prefix(6);
+        while (!line.empty() &&
+               std::isspace(static_cast<unsigned char>(line.front())))
+          line.remove_prefix(1);
+        model = line;
+      } else if (starts_with_keyword(line, "input", &rest)) {
+        tokenize_names(rest, names);
+        for (std::string_view n : names) builder.add_input(n, loc);
+      } else if (starts_with_keyword(line, "output", &rest)) {
+        tokenize_names(rest, names);
+        for (std::string_view n : names) builder.add_output(n, loc);
+      } else {
+        frontend::fail_at(loc, "unrecognized statement: " + std::string(line));
+      }
+      continue;
+    }
+    tokenize_names(line.substr(0, eq), names);
+    if (names.size() != 1)
       frontend::fail_at(loc, "bad equation left-hand side");
+    const std::string_view lhs = names[0];
     const std::string_view rhs = line.substr(eq + 1);
     const auto paren = rhs.find('(');
     if (paren == std::string_view::npos) {
       // Constant form: "x = 0" / "x = 1".
-      const auto names = tokenize_names(rhs);
+      tokenize_names(rhs, names);
       if (names.size() == 1 && (names[0] == "0" || names[0] == "1")) {
-        add_equation_node(builder, lhs_names[0],
-                          names[0] == "0" ? "CONST0" : "CONST1", {}, loc,
-                          library);
+        add_equation_node(builder, lhs, names[0] == "0" ? "CONST0" : "CONST1",
+                          {}, loc, library);
         continue;
       }
       frontend::fail_at(loc, "expected OP(args) or 0/1");
     }
-    const auto op_names = tokenize_names(rhs.substr(0, paren));
-    if (op_names.size() != 1) frontend::fail_at(loc, "bad operator name");
+    tokenize_names(rhs.substr(0, paren), names);
+    if (names.size() != 1) frontend::fail_at(loc, "bad operator name");
+    const std::string_view op = names[0];
     const auto close = rhs.rfind(')');
     if (close == std::string_view::npos || close < paren)
       frontend::fail_at(loc, "unbalanced parentheses");
-    add_equation_node(builder, lhs_names[0], op_names[0],
-                      tokenize_names(rhs.substr(paren + 1, close - paren - 1)),
-                      loc, library);
+    tokenize_names(rhs.substr(paren + 1, close - paren - 1), names);
+    add_equation_node(builder, lhs, op, names, loc, library);
   }
   Netlist netlist = builder.build();
   netlist.set_name(model);

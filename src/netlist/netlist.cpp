@@ -1,6 +1,8 @@
 #include "netlist/netlist.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <iterator>
 
 #include "util/error.hpp"
 
@@ -13,34 +15,40 @@ constexpr unsigned char kGrey = 1;
 constexpr unsigned char kBlack = 2;
 }  // namespace
 
-Netlist::Names& Netlist::Names::operator=(const Names& other) {
-  by_name = other.by_name;
-  var_names.assign(other.var_names.size(), nullptr);
-  for (const auto& [name, v] : by_name)
-    if (v != kReserved) var_names[v] = &name;
-  return *this;
+Var Netlist::new_var(const std::string& name) {
+  if (!name.empty()) {
+    const auto [id, fresh] = names_.intern(name);
+    if (fresh) name_var_.push_back(kReserved);
+    return new_var(id);
+  }
+  // Auto names must not collide with explicit or reserved names (e.g. a
+  // parsed file whose nets were themselves auto-named "n<k>" by a
+  // previous tool, or output names a rebuilding pass will need later).
+  char buf[24] = {'n'};
+  for (;;) {
+    const char* end =
+        std::to_chars(buf + 1, std::end(buf), next_auto_name_++).ptr;
+    const auto [id, fresh] = names_.intern(std::string_view(buf, end - buf));
+    if (!fresh) continue;
+    name_var_.push_back(kReserved);
+    return new_var(id);
+  }
 }
 
-Var Netlist::new_var(const std::string& name) {
-  auto& by_name = names_.by_name;
-  const Var v = static_cast<Var>(names_.var_names.size());
-  std::pair<decltype(by_name.begin()), bool> slot;
-  if (name.empty()) {
-    // Auto names must not collide with explicit or reserved names (e.g. a
-    // parsed file whose nets were themselves auto-named "n<k>" by a
-    // previous tool, or output names a rebuilding pass will need later).
-    do {
-      slot = by_name.try_emplace("n" + std::to_string(next_auto_name_++), v);
-    } while (!slot.second);
-  } else {
-    slot = by_name.try_emplace(name, v);
-    GFRE_ASSERT(slot.second || slot.first->second == Names::kReserved,
-                "duplicate net name '" << name << "'");
-    slot.first->second = v;
-  }
-  names_.var_names.push_back(&slot.first->first);
+Var Netlist::new_var(NameId name) {
+  GFRE_ASSERT(name_var_[name] == kReserved,
+              "duplicate net name '" << names_.name(name) << "'");
+  const Var v = static_cast<Var>(var_name_.size());
+  name_var_[name] = v;
+  var_name_.push_back(name);
   driver_.push_back(0);
   return v;
+}
+
+void Netlist::adopt_names(util::NameTable names) {
+  GFRE_ASSERT(names_.size() == 0, "adopt_names on a netlist with names");
+  names_ = std::move(names);
+  name_var_.assign(names_.size(), kReserved);
 }
 
 Var Netlist::add_input(const std::string& name) {
@@ -49,19 +57,38 @@ Var Netlist::add_input(const std::string& name) {
   return v;
 }
 
-Var Netlist::add_gate(CellType type, std::vector<Var> inputs,
-                      const std::string& name) {
+Var Netlist::add_input(NameId name) {
+  const Var v = new_var(name);
+  inputs_.push_back(v);
+  return v;
+}
+
+void Netlist::check_gate_inputs(CellType type,
+                                const std::vector<Var>& inputs) const {
   GFRE_ASSERT(arity_ok(type, inputs.size()),
               "gate " << cell_name(type) << " cannot take " << inputs.size()
                       << " inputs");
   for (Var in : inputs) {
     GFRE_ASSERT(in < num_vars(), "gate input net " << in << " undeclared");
   }
-  const Var out = new_var(name);
+}
+
+Var Netlist::push_gate(CellType type, std::vector<Var> inputs, Var out) {
   gates_.push_back(Gate{type, out, std::move(inputs)});
   driver_[out] = gates_.size();  // index + 1
   invalidate_cone_index();
   return out;
+}
+
+Var Netlist::add_gate(CellType type, std::vector<Var> inputs,
+                      const std::string& name) {
+  check_gate_inputs(type, inputs);
+  return push_gate(type, std::move(inputs), new_var(name));
+}
+
+Var Netlist::add_gate(CellType type, std::vector<Var> inputs, NameId name) {
+  check_gate_inputs(type, inputs);
+  return push_gate(type, std::move(inputs), new_var(name));
 }
 
 void Netlist::mark_output(Var v) {
@@ -70,12 +97,13 @@ void Netlist::mark_output(Var v) {
 }
 
 void Netlist::reserve_name(const std::string& name) {
-  if (!name.empty()) names_.by_name.try_emplace(name, Names::kReserved);
+  if (!name.empty() && names_.intern(name).second)
+    name_var_.push_back(kReserved);
 }
 
 const std::string& Netlist::var_name(Var v) const {
   GFRE_ASSERT(v < num_vars(), "net " << v << " undeclared");
-  return *names_.var_names[v];
+  return names_.name(var_name_[v]);
 }
 
 bool Netlist::is_input(Var v) const {
@@ -90,10 +118,10 @@ std::optional<std::size_t> Netlist::driver(Var v) const {
 }
 
 std::optional<Var> Netlist::find_var(const std::string& name) const {
-  const auto it = names_.by_name.find(name);
-  if (it == names_.by_name.end() || it->second == Names::kReserved)
+  const NameId id = names_.find(name);
+  if (id == util::NameTable::kMissing || name_var_[id] == kReserved)
     return std::nullopt;
-  return it->second;
+  return name_var_[id];
 }
 
 void Netlist::topo_dfs(std::size_t root_gate,

@@ -4,7 +4,9 @@
 // anf::Var, so netlist signals and rewriting variables share one id space —
 // backward rewriting (core) substitutes gate outputs without any mapping
 // layer.  Gates are stored in creation order; topological order is computed
-// on demand (parsers may interleave declarations).
+// on demand (parsers may interleave declarations).  Net names live in one
+// util::NameTable, each stored once; the frontend hands over the table it
+// filled while parsing (adopt_names), so a parsed name is hashed once.
 //
 // The number of gates is the paper's "#eqns" column: one algebraic equation
 // per gate.
@@ -20,10 +22,13 @@
 
 #include "anf/monomial.hpp"
 #include "netlist/cell.hpp"
+#include "util/name_table.hpp"
 
 namespace gfre::nl {
 
 using anf::Var;
+/// A name's id in the netlist's name table (see adopt_names).
+using NameId = util::NameTable::Id;
 
 /// One gate instance: a cell driving one output net.
 struct Gate {
@@ -59,9 +64,18 @@ class Netlist {
   /// names may appear after intermediate gates are synthesized).
   void reserve_name(const std::string& name);
 
+  /// Takes over `names` as the name table of a netlist that has no nets
+  /// yet, every name in it reserved.  The frontend interns each name once
+  /// while parsing and hands its table over here, so the add_input and
+  /// add_gate overloads below give a reserved name its net by id, without
+  /// hashing it again.
+  void adopt_names(util::NameTable names);
+  Var add_input(NameId name);
+  Var add_gate(CellType type, std::vector<Var> inputs, NameId name);
+
   // -- Interrogation ------------------------------------------------------
 
-  std::size_t num_vars() const { return names_.var_names.size(); }
+  std::size_t num_vars() const { return var_name_.size(); }
   std::size_t num_gates() const { return gates_.size(); }
   /// One equation per gate — the paper's "#eqns" metric.
   std::size_t num_equations() const { return gates_.size(); }
@@ -77,8 +91,11 @@ class Netlist {
   /// Gate index driving net v, or nullopt for primary inputs.
   std::optional<std::size_t> driver(Var v) const;
 
-  /// Net id by name, or nullopt.
+  /// Net id by name, or nullopt (also for a reserved name with no net).
   std::optional<Var> find_var(const std::string& name) const;
+
+  /// Every name the netlist knows, nets and reserved names alike.
+  const util::NameTable& names() const { return names_; }
 
   // -- Structure ----------------------------------------------------------
 
@@ -115,6 +132,9 @@ class Netlist {
 
  private:
   Var new_var(const std::string& name);
+  Var new_var(NameId name);
+  void check_gate_inputs(CellType type, const std::vector<Var>& inputs) const;
+  Var push_gate(CellType type, std::vector<Var> inputs, Var out);
 
   /// Tri-color DFS from one gate, appending reachable gates to `order` in
   /// topological order; backs topological_order().
@@ -154,24 +174,15 @@ class Netlist {
   std::shared_ptr<const ConeIndex> cone_index() const;
   void invalidate_cone_index();
 
-  /// Each net name stored once: as a key of `by_name`, which `var_names`
-  /// points into.  A reserved name is a key mapped to kReserved (no net
-  /// yet).  Copies re-point `var_names` at their own keys; moves keep the
-  /// map's nodes, so the pointers stay valid.
-  struct Names {
-    static constexpr Var kReserved = ~Var{0};
-    std::unordered_map<std::string, Var> by_name;
-    std::vector<const std::string*> var_names;
-    Names() = default;
-    Names(const Names& other) { *this = other; }
-    Names(Names&&) noexcept = default;
-    Names& operator=(const Names& other);
-    Names& operator=(Names&&) noexcept = default;
-  };
-
   std::string name_;
   std::size_t next_auto_name_ = 0;
-  Names names_;
+  // Each net name is stored once, in names_.  name_var_[id] is the net
+  // named by table id `id`, or kReserved while a reserved name has none;
+  // var_name_[v] is the table id of net v's name.
+  static constexpr Var kReserved = ~Var{0};
+  util::NameTable names_;
+  std::vector<Var> name_var_;
+  std::vector<NameId> var_name_;
   // driver_[v] = gate index + 1, or 0 when v is an input.  Every net is an
   // input or a gate output, so this also answers is_input.
   std::vector<std::size_t> driver_;

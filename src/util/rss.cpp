@@ -30,14 +30,6 @@ std::uint64_t current_rss_bytes() { return read_status_kb("VmRSS:") * 1024; }
 
 std::uint64_t peak_rss_bytes() { return read_status_kb("VmHWM:") * 1024; }
 
-bool reset_peak_rss() {
-  std::ofstream out("/proc/self/clear_refs");
-  if (!out) return false;
-  out << "5\n";
-  out.flush();
-  return out.good();
-}
-
 std::string format_bytes(std::uint64_t bytes) {
   char buf[64];
   const double b = static_cast<double>(bytes);

@@ -17,13 +17,6 @@ std::uint64_t current_rss_bytes();
 /// Peak resident set size (high-water mark) in bytes (0 if unavailable).
 std::uint64_t peak_rss_bytes();
 
-/// Reset the kernel's peak-RSS high-water mark to the current RSS, so the
-/// next peak_rss_bytes() reading covers only work done after this call
-/// (Linux: write "5" to /proc/self/clear_refs).  Returns false when the
-/// platform does not support resetting; the mark then stays monotonic and
-/// peak_rss_bytes() remains a process-lifetime upper bound.
-bool reset_peak_rss();
-
 /// Render a byte count the way the paper's tables do ("37 MB", "4.5 GB").
 std::string format_bytes(std::uint64_t bytes);
 

@@ -4,16 +4,19 @@
 // hide behind a matching generator change.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "core/batch.hpp"
 #include "core/flow.hpp"
+#include "core/result_cache.hpp"
 #include "gen/mastrovito.hpp"
 #include "gf2m/field.hpp"
 #include "netlist/io_blif.hpp"
 #include "netlist/io_eqn.hpp"
 #include "netlist/io_verilog.hpp"
 #include "obf/passes.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 #ifndef GFRE_SOURCE_DIR
@@ -153,6 +156,71 @@ TEST(Corpus, FrozenKeyGatedFixtureUnlocksToItsCleanTwin) {
   const auto wrong_report = core::reverse_engineer(wrong, options);
   EXPECT_FALSE(wrong_report.success &&
                wrong_report.recovery.p == (Poly{16, 5, 3, 1, 0}));
+}
+
+// Pinned identities of frozen fixtures: the structural content hash and
+// both cache keys (threads=1 options).  Net numbering and net names feed
+// the hash and the in-memory key, so a name-storage or parser refactor
+// that renumbers or renames a single net fails here, and so does any
+// change that would silently orphan existing disk-cache entries.
+struct GoldenIdentity {
+  const char* file;
+  std::uint64_t hash_a;
+  std::uint64_t hash_b;
+  const char* key_for_file;
+  const char* key_for_netlist;
+};
+
+TEST(CorpusGolden, ContentHashAndCacheKeysArePinned) {
+  static const GoldenIdentity kGolden[] = {
+      {"karatsuba_m8.eqn", 0x12ebe05a1c011d92, 0xa010f4b9fcbd4ca0,
+       "99aff1389074eb74f8601f707cecfec3c65df730fc87525c3d32afb3e0c456a9",
+       "c8b228ef2dc43e4f1622952f06142c58e40a3f477060b3311a1119bc8bbc14a7"},
+      {"karatsuba_m8.blif", 0xdefe1aa76b075725, 0x8a2416789fdb32bd,
+       "79dc788f84482fd9bb755077ce1cade1cd58f217dc8d5bcb7a26a8e1819cf765",
+       "ec634bf414916985d5ac632d72a1fdfc24c78ceadad210d77ea1a8f88503a166"},
+      {"karatsuba_m8.v", 0x12ebe05a1c011d92, 0xa010f4b9fcbd4ca0,
+       "056da32417dde19a8b7077b8dbad3c1a9e1cc36a54e84e8e26daabe5acb021dd",
+       "c8b228ef2dc43e4f1622952f06142c58e40a3f477060b3311a1119bc8bbc14a7"},
+      {"mastrovito_m8.eqn", 0x580688582f1f2bef, 0x4017762231fe8fa5,
+       "1960471072d28807b6ec235648ac1f99aca246d68ba990947b47ea7f9e6d4acb",
+       "feca4c82bd7987e6233a66bf024e4bad1e21b7194b4d416aae9d0f76527b534d"},
+      {"mastrovito_m8.blif", 0x64fb6b124dd49ee8, 0x527257757a1466b0,
+       "3200421fe225012f3666cb9de3fe5bef94a74b21880248133012e6fd86c62cee",
+       "fb0e83b6035c66af75aeee72265471b6bc11847b0164c05ce2bfd8230311e1a3"},
+      {"mastrovito_m8.v", 0x580688582f1f2bef, 0x4017762231fe8fa5,
+       "201ff22bac2bc133a264c074f35861df7dd8b97aae22ffb8fad9670d2bf166ea",
+       "feca4c82bd7987e6233a66bf024e4bad1e21b7194b4d416aae9d0f76527b534d"},
+      {"montgomery_m16.eqn", 0x8897c8b759f8ecc7, 0xf92d1095225925f9,
+       "49757f6897f40c01a46ddc9258544c0c540fa2b6acb00b51645930b0f59be5bd",
+       "491ee30002b2505a75b567869fa1b039628906ad1907338ef519e842cf3c558f"},
+      {"montgomery_m16.blif", 0x64c9b889b7948e23, 0x587b6aea680e6c3f,
+       "a3a6e9f216512a2a2a96e66c1a705bcb33ec9b9b8829c0a8339d89dccef2ff42",
+       "d0abf2f468b509c9f2251683ae1f7a7681b32f2d13239e2d3592226a4a0ffb57"},
+      {"montgomery_m16.v", 0x8897c8b759f8ecc7, 0xf92d1095225925f9,
+       "46d883938375ae0958f6d30a606ba7b8f424012b030b623a9d533ee2a1ca779d",
+       "491ee30002b2505a75b567869fa1b039628906ad1907338ef519e842cf3c558f"},
+      {"mastrovito_m163.eqn", 0xde1b6d68f301c903, 0x0be70bdfe71787ed,
+       "31a527e26b8608a7a7481fc065ed7c73ed6c0b3416a8668b3c8f9215ca300eb9",
+       "9b20febefd6a2d1151a2d159790154ad313c044cbc264a6072adebfdb6b61158"},
+  };
+  core::FlowOptions options;
+  options.threads = 1;
+  for (const GoldenIdentity& golden : kGolden) {
+    const std::string path = data_path(golden.file);
+    std::string bytes;
+    ASSERT_TRUE(util::read_file_to_string(path, &bytes)) << path;
+    const nl::Netlist netlist = core::load_netlist_file(path);
+    EXPECT_EQ(core::netlist_content_hash(netlist),
+              (core::NetlistHash{golden.hash_a, golden.hash_b}))
+        << path;
+    EXPECT_EQ(core::ResultCache::key_for_file(bytes, options),
+              golden.key_for_file)
+        << path;
+    EXPECT_EQ(core::ResultCache::key_for_netlist(netlist, options),
+              golden.key_for_netlist)
+        << path;
+  }
 }
 
 TEST(Corpus, CorruptFixtureIsRejected) {

@@ -2,6 +2,7 @@
 // .eqn, BLIF and structural Verilog.
 #include <gtest/gtest.h>
 
+#include "core/batch.hpp"
 #include "gen/mastrovito.hpp"
 #include "gf2m/field.hpp"
 #include "helpers.hpp"
@@ -94,6 +95,44 @@ TEST(EqnFormat, ErrorsAreDiagnosed) {
   EXPECT_THROW(read_eqn("input a;\nx = INV(a);\nx = BUF(a);\noutput x;"),
                ParseError);  // double definition
   EXPECT_THROW(read_eqn("input a;\na = INV(a);\noutput a;"), ParseError);
+}
+
+TEST(EqnFormat, NetsNamedLikeKeywordsAreEquations) {
+  // A statement with '=' is an equation even when its net is named like
+  // a declaration keyword.
+  const Netlist input_net = read_eqn(
+      "input a b;\noutput z;\ninput = AND(a, b);\nz = XOR(input, a);\n");
+  EXPECT_EQ(input_net.num_gates(), 2u);
+  EXPECT_EQ(input_net.inputs().size(), 2u);
+  const Netlist output_net =
+      read_eqn("input a b;\noutput output;\noutput = AND(a, b);\n");
+  EXPECT_EQ(output_net.var_name(output_net.outputs()[0]), "output");
+  const Netlist model_net = read_eqn(
+      "model m\ninput a b;\noutput z;\nmodel = AND(a, b);\nz = INV(model);\n");
+  EXPECT_EQ(model_net.name(), "m");
+  EXPECT_EQ(model_net.num_gates(), 2u);
+  EXPECT_THROW(read_eqn("input a;\noutput z;\nz = input;\n"), ParseError);
+}
+
+TEST(EqnFormat, KeywordNamedNetsRoundTripFromBlif) {
+  const Netlist original = read_blif(R"(.model kw
+.inputs a model
+.outputs output z
+.names a model input
+11 1
+.names input a output
+10 1
+01 1
+.names output model z
+1- 1
+-1 1
+.end
+)");
+  ASSERT_TRUE(original.find_var("input").has_value());
+  const Netlist parsed = read_eqn(write_eqn(original));
+  EXPECT_EQ(parsed.name(), "kw");
+  EXPECT_EQ(core::netlist_content_hash(parsed),
+            core::netlist_content_hash(original));
 }
 
 TEST(EqnFormat, FileRoundTrip) {

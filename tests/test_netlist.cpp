@@ -1,9 +1,13 @@
 // Tests for the netlist graph: construction, topology, cones, validation.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "netlist/netlist.hpp"
 #include "netlist/ports.hpp"
 #include "util/error.hpp"
+#include "util/name_table.hpp"
 
 namespace gfre::nl {
 namespace {
@@ -58,6 +62,113 @@ TEST(Netlist, DuplicateNameRejected) {
   EXPECT_THROW(n.add_input("a"), Error);
   const Var a = *n.find_var("a");
   EXPECT_THROW(n.add_gate(CellType::Inv, {a}, "a"), Error);
+}
+
+TEST(NameTable, DenseIdsInInsertionOrder) {
+  util::NameTable table;
+  EXPECT_EQ(table.find("a"), util::NameTable::kMissing);
+  EXPECT_EQ(table.intern("b"), std::make_pair(util::NameTable::Id{0}, true));
+  EXPECT_EQ(table.intern("a"), std::make_pair(util::NameTable::Id{1}, true));
+  EXPECT_EQ(table.intern("b"), std::make_pair(util::NameTable::Id{0}, false));
+  EXPECT_EQ(table.intern(""), std::make_pair(util::NameTable::Id{2}, true));
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_EQ(table.name(0), "b");
+  EXPECT_EQ(table.name(1), "a");
+  EXPECT_EQ(table.find("a"), 1u);
+  EXPECT_EQ(table.find(""), 2u);
+  EXPECT_EQ(table.find("c"), util::NameTable::kMissing);
+  EXPECT_EQ(table.find("bb"), util::NameTable::kMissing);
+}
+
+TEST(NameTable, GrowsThroughManyRehashesWithStableNames) {
+  constexpr std::uint32_t kNames = 1u << 20;
+  util::NameTable table;
+  const std::string& first = table.name(table.intern("n0").first);
+  for (std::uint32_t i = 1; i < kNames; ++i)
+    ASSERT_EQ(table.intern("n" + std::to_string(i)).first, i);
+  EXPECT_EQ(table.size(), kNames);
+  EXPECT_EQ(&first, &table.name(0));  // names never move
+  EXPECT_EQ(first, "n0");
+  for (std::uint32_t i = 0; i < kNames; i += 997) {
+    const std::string name = "n" + std::to_string(i);
+    ASSERT_EQ(table.find(name), i);
+    ASSERT_EQ(table.name(i), name);
+    ASSERT_FALSE(table.intern(name).second);
+  }
+  EXPECT_EQ(table.find("n" + std::to_string(kNames)),
+            util::NameTable::kMissing);
+}
+
+TEST(Netlist, CopiedAndMovedNetlistsOwnTheirNames) {
+  auto original = std::make_unique<Netlist>(tiny_xor_and());
+  original->reserve_name("kept");
+  const Netlist copy = *original;
+  Netlist source = *original;
+  const Netlist moved = std::move(source);
+  original.reset();
+  for (const Netlist* n : {&copy, &moved}) {
+    EXPECT_EQ(n->var_name(0), "a");
+    EXPECT_EQ(n->var_name(3), "t");
+    EXPECT_EQ(n->var_name(n->outputs()[0]), "z");
+    EXPECT_EQ(n->find_var("c"), Var{2});
+    EXPECT_EQ(n->find_var("z"), Var{4});
+    EXPECT_FALSE(n->find_var("kept").has_value());
+    EXPECT_FALSE(n->find_var("nope").has_value());
+  }
+  // A copy grows its own table: new names do not leak into the other.
+  Netlist grown = copy;
+  grown.add_gate(CellType::Inv, {0}, "fresh");
+  EXPECT_TRUE(grown.find_var("fresh").has_value());
+  EXPECT_FALSE(copy.find_var("fresh").has_value());
+}
+
+TEST(Netlist, ReservedNameIsInvisibleUntilANetTakesIt) {
+  Netlist n;
+  const Var a = n.add_input("a");
+  n.reserve_name("out");
+  n.reserve_name("out");  // reserving twice is harmless
+  EXPECT_FALSE(n.find_var("out").has_value());
+  EXPECT_EQ(n.num_vars(), 1u);
+  const Var out = n.add_gate(CellType::Inv, {a}, "out");
+  EXPECT_EQ(n.find_var("out"), out);
+  EXPECT_EQ(n.var_name(out), "out");
+  EXPECT_THROW(n.add_gate(CellType::Buf, {a}, "out"), Error);
+}
+
+TEST(Netlist, AutoNamesSkipDeclaredAndReservedNames) {
+  Netlist n;
+  const Var a = n.add_input("n0");
+  n.reserve_name("n1");
+  n.add_gate(CellType::Buf, {a}, "n3");
+  const Var g1 = n.add_gate(CellType::Inv, {a});
+  const Var g2 = n.add_gate(CellType::Inv, {g1});
+  const Var g3 = n.add_gate(CellType::Inv, {g2});
+  EXPECT_EQ(n.var_name(g1), "n2");
+  EXPECT_EQ(n.var_name(g2), "n4");
+  EXPECT_EQ(n.var_name(g3), "n5");
+  // The reserved name is still free for the net it was reserved for.
+  const Var late = n.add_gate(CellType::Inv, {g3}, "n1");
+  EXPECT_EQ(n.find_var("n1"), late);
+}
+
+TEST(Netlist, AdoptedNamesAreReservedAndTakenById) {
+  util::NameTable names;
+  const NameId z = names.intern("z").first;
+  const NameId a = names.intern("a").first;
+  names.intern("n0");
+  Netlist n;
+  n.adopt_names(std::move(names));
+  EXPECT_FALSE(n.find_var("a").has_value());
+  const Var va = n.add_input(a);
+  const Var aux = n.add_gate(CellType::Inv, {va});
+  const Var vz = n.add_gate(CellType::Buf, {aux}, z);
+  EXPECT_EQ(n.var_name(va), "a");
+  EXPECT_EQ(n.var_name(aux), "n1");  // "n0" is reserved
+  EXPECT_EQ(n.var_name(vz), "z");
+  EXPECT_EQ(n.find_var("z"), vz);
+  EXPECT_FALSE(n.find_var("n0").has_value());
+  EXPECT_THROW(n.add_gate(CellType::Inv, {va}, z), Error);
+  EXPECT_THROW(n.add_input(a), Error);
 }
 
 TEST(Netlist, BadArityRejected) {
