@@ -1,5 +1,5 @@
-// Monotonic per-cone arena — the allocation backbone of the vectorized
-// packed engine.
+// Monotonic per-cone arena — the allocation backbone of the packed
+// engine (anf/packed.cpp).
 //
 // Backward rewriting has a textbook arena lifetime: every table, bucket
 // and scratch buffer a cone's extraction touches dies together when the
@@ -8,7 +8,8 @@
 // individually, and reset() rewinds to the first chunk while *keeping*
 // the chunk chain — so the second cone on a thread reuses the first
 // cone's memory and performs zero steady-state heap allocations (the
-// acceptance property tests/test_simd_kernels.cpp asserts).
+// property SimdEngine.ConeExtractionIsAllocationFreeAfterWarmup asserts;
+// it lives in its own test binary because it replaces operator new).
 //
 // ArenaVector<T> is the minimal growable array over an arena for
 // trivially-copyable T: grow abandons the old block (monotonic arenas

@@ -156,43 +156,31 @@ struct SparseRep {
   }
 };
 
-// Kernel-routed representation helpers: the engine's word loops go through
-// the simd::Kernels table it was built with.
+// Representation helpers: the engine's word loops run the anf/simd.hpp
+// kernels.
 
 template <unsigned W>
-inline bool rep_eq(const BitsRep<W>& a, const BitsRep<W>& b,
-                   const simd::Kernels& k) {
-  if constexpr (W == 1) {
-    (void)k;
-    return a.w[0] == b.w[0];
-  } else {
-    return k.eq_words(a.w.data(), b.w.data(), W);
-  }
+inline bool rep_eq(const BitsRep<W>& a, const BitsRep<W>& b) {
+  return simd::eq_words(a.w.data(), b.w.data(), W);
 }
 
-inline bool rep_eq(const SparseRep& a, const SparseRep& b,
-                   const simd::Kernels& k) {
+inline bool rep_eq(const SparseRep& a, const SparseRep& b) {
   if (a.w[0] != b.w[0]) return false;  // degree + first slot fast reject
   // Equal w[0] means equal degrees, so comparing the used-word prefix
   // suffices (typical cone monomials have degree <= 3, i.e. two words
   // instead of thirteen).
-  return k.eq_words(a.w.data(), b.w.data(), (a.deg() + 2) / 2);
+  return simd::eq_words(a.w.data(), b.w.data(), (a.deg() + 2) / 2);
 }
 
 template <unsigned W>
 inline void rep_united(BitsRep<W>& dst, const BitsRep<W>& a,
-                       const BitsRep<W>& b, const simd::Kernels& k) {
-  if constexpr (W == 1) {
-    (void)k;
-    dst.w[0] = a.w[0] | b.w[0];
-  } else {
-    k.or_words(dst.w.data(), a.w.data(), b.w.data(), W);
-  }
+                       const BitsRep<W>& b) {
+  simd::or_words(dst.w.data(), a.w.data(), b.w.data(), W);
 }
 
 /// Sorted-merge union a ∪ b into dst's prefix (dst must alias neither).
-inline void rep_united(SparseRep& dst, const SparseRep& a, const SparseRep& b,
-                       const simd::Kernels&) {
+inline void rep_united(SparseRep& dst, const SparseRep& a,
+                       const SparseRep& b) {
   const unsigned da = a.deg(), db = b.deg();
   unsigned i = 0, j = 0, n = 0;
   while (i < da || j < db) {
@@ -216,11 +204,11 @@ inline void rep_united(SparseRep& dst, const SparseRep& a, const SparseRep& b,
 }
 
 template <unsigned W>
-inline std::size_t rep_degree(const BitsRep<W>& r, const simd::Kernels& k) {
-  return k.popcount_words(r.w.data(), W);
+inline std::size_t rep_degree(const BitsRep<W>& r) {
+  return simd::popcount_words(r.w.data(), W);
 }
 
-inline std::size_t rep_degree(const SparseRep& r, const simd::Kernels&) {
+inline std::size_t rep_degree(const SparseRep& r) {
   return r.deg();
 }
 
@@ -260,7 +248,6 @@ inline std::uint64_t rep_hash(const SparseRep& r) {
 struct ConeEngine::Impl {
   virtual ~Impl() = default;
   virtual RepKind rep() const = 0;
-  virtual simd::Level level() const = 0;
   virtual std::size_t occurrence_count(Slot var) = 0;
   virtual void substitute(Slot var, const TermList& terms) = 0;
   virtual std::size_t size() const = 0;
@@ -323,21 +310,20 @@ EngineScratch& thread_scratch() {
 
 // ---------------------------------------------------------------------------
 // The engine: 16-byte control-tag groups (SwissTable-style) probed and
-// compared through an anf/simd.hpp kernel table, with every table, bucket
-// and scratch buffer bump-allocated from the per-thread cone arena.
+// compared with the anf/simd.hpp kernels, with every table, bucket and
+// scratch buffer bump-allocated from the per-thread cone arena.
 //
 // A probe touches a 16-byte tag group first (one cache line covers four
 // groups) and only dereferences entries whose 7-bit tag matched, and cone
-// teardown/retirement is a pointer rewind.  Every kernel table computes the
-// same words, so the level changes only the speed, never a result.
+// teardown/retirement is a pointer rewind.
 // ---------------------------------------------------------------------------
 
 template <typename Rep>
 class KernelEngine final : public ConeEngine::Impl {
  public:
-  KernelEngine(std::size_t num_slots, Slot root, const simd::Kernels& k,
-               simd::Level lvl, EngineScratch* scratch, bool owns_scratch)
-      : k_(k), level_(lvl), scratch_(scratch), owns_scratch_(owns_scratch) {
+  KernelEngine(std::size_t num_slots, Slot root, EngineScratch* scratch,
+               bool owns_scratch)
+      : scratch_(scratch), owns_scratch_(owns_scratch) {
     scratch_->ensure_slots(num_slots);
     epoch_ = scratch_->next_epoch();
     scratch_->arena.reset();
@@ -360,7 +346,6 @@ class KernelEngine final : public ConeEngine::Impl {
   }
 
   RepKind rep() const override { return Rep::kKind; }
-  simd::Level level() const override { return level_; }
 
   std::size_t occurrence_count(Slot var) override {
     // Most queried vars never entered F (the driver probes every cone
@@ -404,7 +389,7 @@ class KernelEngine final : public ConeEngine::Impl {
       kill(id);
       rest.clear(var);
       for (const Rep& term : packed_terms_) {
-        rep_united(product, rest, term, k_);
+        rep_united(product, rest, term);
         toggle(product);
       }
     }
@@ -422,7 +407,7 @@ class KernelEngine final : public ConeEngine::Impl {
       const Entry& e = entries_[id];
       if ((e.gen & 1u) == 0) continue;  // odd generation = live
       SlotMono mono;
-      mono.reserve(rep_degree(e.mono, k_));
+      mono.reserve(rep_degree(e.mono));
       e.mono.for_each_slot([&](Slot s) { mono.push_back(s); });
       out.push_back(std::move(mono));
     }
@@ -480,7 +465,7 @@ class KernelEngine final : public ConeEngine::Impl {
 
   /// Adds mono mod 2: inserts if absent, cancels if present.  One fused
   /// probe_group call per group yields the tag-match, empty and free masks
-  /// together (a third of the indirect calls of probing them separately).
+  /// together.
   void toggle(const Rep& mono) {
     maybe_grow();
     const std::uint64_t h = rep_hash(mono);
@@ -490,14 +475,14 @@ class KernelEngine final : public ConeEngine::Impl {
     std::size_t first_free = kNone;
     for (;; g = (g + 1) & gmask) {
       const std::uint8_t* gt = tags_ + g * 16;
-      const std::uint64_t probe = k_.probe_group(gt, tag);
+      const std::uint64_t probe = simd::probe_group(gt, tag);
       std::uint32_t match = static_cast<std::uint32_t>(probe & 0xFFFFu);
       while (match != 0) {
         const unsigned b = static_cast<unsigned>(std::countr_zero(match));
         match &= match - 1;
         const std::size_t pos = g * 16 + b;
         const std::uint32_t id = idx_[pos];
-        if (rep_eq(entries_[id].mono, mono, k_)) {
+        if (rep_eq(entries_[id].mono, mono)) {
           kill(id);
           ++cancellations_;
           return;
@@ -584,7 +569,8 @@ class KernelEngine final : public ConeEngine::Impl {
       if ((entries_[id].gen & 1u) == 0) continue;
       const std::uint64_t h = rep_hash(entries_[id].mono);
       for (std::size_t g = h & gmask;; g = (g + 1) & gmask) {
-        const std::uint32_t empty = k_.match_tags16(tags_ + g * 16, kEmptyTag);
+        const std::uint32_t empty =
+            simd::match_tags16(tags_ + g * 16, kEmptyTag);
         if (empty == 0) continue;
         const std::size_t pos =
             g * 16 + static_cast<unsigned>(std::countr_zero(empty));
@@ -596,8 +582,6 @@ class KernelEngine final : public ConeEngine::Impl {
     }
   }
 
-  const simd::Kernels k_;  // by value: one indirection per kernel call
-  const simd::Level level_;
   EngineScratch* scratch_;
   const bool owns_scratch_;
   std::uint32_t epoch_ = 0;
@@ -619,15 +603,14 @@ class KernelEngine final : public ConeEngine::Impl {
 };
 
 template <typename Rep>
-ConeEngine::Impl* make_impl(std::size_t num_slots, Slot root,
-                            const simd::Kernels& kernels, simd::Level lvl) {
+ConeEngine::Impl* make_impl(std::size_t num_slots, Slot root) {
   static_assert(sizeof(KernelEngine<Rep>) <= kImplStorageBytes);
   EngineScratch& ts = thread_scratch();
   if (!ts.in_use) {
     ts.in_use = true;
     try {
       auto* impl = new (static_cast<void*>(ts.impl_storage))
-          KernelEngine<Rep>(num_slots, root, kernels, lvl, &ts, false);
+          KernelEngine<Rep>(num_slots, root, &ts, false);
       impl->placed_ = true;
       return impl;
     } catch (...) {
@@ -638,9 +621,8 @@ ConeEngine::Impl* make_impl(std::size_t num_slots, Slot root,
   // Nested engine on this thread: rare (the rewriter never does it), so a
   // private heap scratch is fine.
   auto scratch = std::make_unique<EngineScratch>();
-  auto* impl =
-      new KernelEngine<Rep>(num_slots, root, kernels, lvl, scratch.get(),
-                            /*owns_scratch=*/true);
+  auto* impl = new KernelEngine<Rep>(num_slots, root, scratch.get(),
+                                     /*owns_scratch=*/true);
   scratch.release();  // now owned by the impl
   return impl;
 }
@@ -661,24 +643,21 @@ ConeEngine::ConeEngine(std::size_t num_slots, Slot root) {
     throw Overflow("cone has " + std::to_string(num_slots) +
                    " variables, beyond the packed slot space");
   }
-  const simd::Level lvl = simd::active_level();
-  // active_level() never exceeds detect_level(), so its table exists.
-  const simd::Kernels& kernels = *simd::kernels_for_level(lvl);
   switch (rep_for_cone(num_slots)) {
     case RepKind::Bits64:
-      impl_.reset(make_impl<BitsRep<1>>(num_slots, root, kernels, lvl));
+      impl_.reset(make_impl<BitsRep<1>>(num_slots, root));
       break;
     case RepKind::Bits128:
-      impl_.reset(make_impl<BitsRep<2>>(num_slots, root, kernels, lvl));
+      impl_.reset(make_impl<BitsRep<2>>(num_slots, root));
       break;
     case RepKind::Bits256:
-      impl_.reset(make_impl<BitsRep<4>>(num_slots, root, kernels, lvl));
+      impl_.reset(make_impl<BitsRep<4>>(num_slots, root));
       break;
     case RepKind::Bits512:
-      impl_.reset(make_impl<BitsRep<8>>(num_slots, root, kernels, lvl));
+      impl_.reset(make_impl<BitsRep<8>>(num_slots, root));
       break;
     case RepKind::Sparse:
-      impl_.reset(make_impl<SparseRep>(num_slots, root, kernels, lvl));
+      impl_.reset(make_impl<SparseRep>(num_slots, root));
       break;
   }
 }
@@ -688,7 +667,6 @@ ConeEngine::ConeEngine(ConeEngine&&) noexcept = default;
 ConeEngine& ConeEngine::operator=(ConeEngine&&) noexcept = default;
 
 RepKind ConeEngine::rep() const { return impl_->rep(); }
-simd::Level ConeEngine::level() const { return impl_->level(); }
 std::size_t ConeEngine::occurrence_count(Slot var) {
   return impl_->occurrence_count(var);
 }

@@ -15,14 +15,9 @@
 // the monomials that actually mention the substituted variable.
 //
 // The hash table probes 16-byte control-tag groups (SwissTable style) and
-// runs its word loops through an anf/simd.hpp kernel table; tables,
-// buckets and scratch all live in a per-thread anf::MonotonicArena — zero
-// steady-state heap allocations per cone.  Each
-// cone snapshots anf::simd::active_level() and runs this one engine on
-// that level's kernel table (the portable one at Scalar, AVX2 / AVX-512
-// picked at runtime otherwise).  Every table yields bit-identical
-// polynomials and statistics; the level is a pure speed knob and
-// deliberately not part of any result-cache key.
+// runs its word loops on the portable inline kernels of anf/simd.hpp;
+// tables, buckets and scratch all live in a per-thread anf::MonotonicArena
+// — zero steady-state heap allocations per cone.
 //
 // The engine is representation-agnostic to its caller: core/rewriter.cpp
 // feeds it slot-space substitution steps and converts the final polynomial
@@ -35,9 +30,8 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
-
-#include "anf/simd.hpp"
 
 namespace gfre::anf::packed {
 
@@ -145,18 +139,13 @@ class TermList {
 class ConeEngine {
  public:
   /// num_slots must cover every slot ever passed in (<= kMaxSlots, else
-  /// Overflow).  root is F's initial monomial.  The SIMD level is
-  /// snapshotted from anf::simd::active_level() here.
+  /// Overflow).  root is F's initial monomial.
   ConeEngine(std::size_t num_slots, Slot root);
   ~ConeEngine();
   ConeEngine(ConeEngine&&) noexcept;
   ConeEngine& operator=(ConeEngine&&) noexcept;
 
   RepKind rep() const;
-
-  /// The kernel level this engine was constructed with (Scalar = the
-  /// portable kernel table).
-  simd::Level level() const;
 
   /// Number of live monomials currently mentioning `var` (compacts the
   /// occurrence bucket as a side effect).  O(bucket length).

@@ -34,10 +34,10 @@ constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 // Second, independent multiply-xor stream (Murmur64's odd constant) so the
 // cache key is effectively 128 bits: an *accidental* simultaneous
-// collision is ~2^-128, i.e. never.  Neither stream is cryptographic — a
-// determined adversary could still construct a colliding pair, so a
-// hardened multi-tenant service should swap in a real cryptographic hash
-// (ROADMAP open item) before trusting cross-tenant memoization.
+// collision is ~2^-128, i.e. never.  Neither stream is cryptographic: a
+// determined adversary can construct a colliding pair, so do not trust
+// this memo key across tenants.  A service whose clients do not trust
+// each other must key its memo with a cryptographic hash instead.
 constexpr std::uint64_t kAltOffset = 0x9e3779b97f4a7c15ull;
 constexpr std::uint64_t kAltPrime = 0xc6a4a7935bd1e995ull;
 

@@ -84,8 +84,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Corpus, CryptoScaleMastrovitoB163) {
   // NIST B-163 (P(x) = x^163 + x^7 + x^6 + x^3 + 1): the smallest field any
   // standardized ECC deployment actually uses.  Cones here have hundreds of
-  // variables, so the packed engine's Bits256 tier and the SIMD kernel
-  // layer run from a frozen file under tier-1 tests, not only in benches.
+  // variables, so the packed engine's Bits256 tier and its word kernels
+  // run from a frozen file under tier-1 tests, not only in benches.
   // Only the .eqn form is checked in — at 54k equations the three-format
   // sweep would triple a file that exists to pin the extraction path.
   const auto netlist =

@@ -1,15 +1,13 @@
-// Differential suite for the SIMD kernel layer and the arena-backed packed
-// engine.  The engine is one piece of code at every level; a level only
-// picks its kernel table.  Every vector table compiled into the binary must
-// be bit-identical to the portable scalar table at the word-kernel level
-// (random payloads, boundary word counts) and at the whole-flow level
-// (FlowReports across generator families and thread counts).  At the
-// engine level, every executable level — Scalar included — is checked
-// against a textbook mod-2 set model over every RepKind, including widths
-// straddling the 64- and 512-bit representation boundaries.  Also
-// unit-covers MonotonicArena/ArenaVector and asserts, at every level, that
-// a cone extraction performs zero steady-state heap allocations once the
-// per-thread arena is warm.
+// Suite for the word kernels (anf/simd.hpp) and the arena-backed packed
+// engine.  The fused tag probe is checked lane by lane; the engine is
+// checked against a textbook mod-2 set model over every RepKind, including
+// widths straddling the 64- and 512-bit representation boundaries; and the
+// whole flow is checked across thread counts per generator family, and
+// against the NaiveScan oracle on the Bits512 and Sparse tiers.  Also
+// unit-covers MonotonicArena/ArenaVector and asserts that a cone
+// extraction performs zero steady-state heap allocations once the
+// per-thread arena is warm.  That last check replaces the global
+// operator new, which is why this suite is a binary of its own.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -113,80 +111,15 @@ using anf::packed::Slot;
 using anf::packed::SlotMono;
 using anf::packed::TermList;
 
-/// Restores the process-global kernel level on scope exit, so a failing
-/// assertion can't leak a forced level into later suites.
-class LevelGuard {
- public:
-  explicit LevelGuard(simd::Level level) : saved_(simd::active_level()) {
-    simd::set_level(level);
-  }
-  ~LevelGuard() { simd::set_level(saved_); }
-  LevelGuard(const LevelGuard&) = delete;
-  LevelGuard& operator=(const LevelGuard&) = delete;
-
- private:
-  simd::Level saved_;
-};
-
-/// Every level this binary can actually execute here, scalar included.
-std::vector<simd::Level> executable_levels() {
-  std::vector<simd::Level> levels{simd::Level::Scalar};
-  if (simd::detect_level() >= simd::Level::Avx2) {
-    levels.push_back(simd::Level::Avx2);
-  }
-  if (simd::detect_level() >= simd::Level::Avx512) {
-    levels.push_back(simd::Level::Avx512);
-  }
-  return levels;
-}
-
 // ---------------------------------------------------------------------------
-// Word-kernel differential: random payloads, every compiled level vs scalar
+// Word kernels
 // ---------------------------------------------------------------------------
 
-TEST(SimdKernels, ScalarTableIsAlwaysAvailable) {
-  ASSERT_NE(simd::kernels_for_level(simd::Level::Scalar), nullptr);
+TEST(SimdKernels, EngineRunsThePortableKernels) {
+  EXPECT_EQ(simd::active_level(), simd::Level::Scalar);
   EXPECT_EQ(simd::to_string(simd::Level::Scalar), std::string("scalar"));
   EXPECT_EQ(simd::to_string(simd::Level::Avx2), std::string("avx2"));
   EXPECT_EQ(simd::to_string(simd::Level::Avx512), std::string("avx512"));
-}
-
-TEST(SimdKernels, TablesExistExactlyForExecutableLevels) {
-  for (simd::Level level : executable_levels()) {
-    EXPECT_NE(simd::kernels_for_level(level), nullptr)
-        << simd::to_string(level);
-  }
-  if (simd::detect_level() < simd::Level::Avx512) {
-    EXPECT_EQ(simd::kernels_for_level(simd::Level::Avx512), nullptr);
-  }
-}
-
-TEST(SimdKernels, TagProbesMatchScalarOnRandomGroups) {
-  const simd::Kernels& scalar = *simd::kernels_for_level(simd::Level::Scalar);
-  Prng rng(0x7a95);
-  for (simd::Level level : executable_levels()) {
-    const simd::Kernels& k = *simd::kernels_for_level(level);
-    for (int round = 0; round < 2000; ++round) {
-      // Tag bytes mix live hashes (0x00..0x7F), empty (0xFF) and tombstone
-      // (0x80) — exactly the values the control-tag table stores.
-      std::uint8_t tags[16];
-      for (auto& t : tags) {
-        const std::uint64_t r = rng.next_u64();
-        if ((r & 7u) == 0) {
-          t = 0xFF;
-        } else if ((r & 7u) == 1) {
-          t = 0x80;
-        } else {
-          t = static_cast<std::uint8_t>((r >> 3) & 0x7F);
-        }
-      }
-      const auto tag = static_cast<std::uint8_t>(rng.next_u64() & 0x7F);
-      EXPECT_EQ(k.match_tags16(tags, tag), scalar.match_tags16(tags, tag))
-          << simd::to_string(level) << " round " << round;
-      EXPECT_EQ(k.probe_group(tags, tag), scalar.probe_group(tags, tag))
-          << simd::to_string(level) << " round " << round;
-    }
-  }
 }
 
 TEST(SimdKernels, ProbeGroupEncodesMatchEmptyFreeLanes) {
@@ -197,65 +130,38 @@ TEST(SimdKernels, ProbeGroupEncodesMatchEmptyFreeLanes) {
   tags[3] = 0x42;            // match lane
   tags[7] = 0xFF;            // empty lane
   tags[11] = 0x80;           // tombstone lane
-  for (simd::Level level : executable_levels()) {
-    const std::uint64_t probe =
-        simd::kernels_for_level(level)->probe_group(tags, 0x42);
-    EXPECT_EQ(probe & 0xFFFFu, 1u << 3) << simd::to_string(level);
-    EXPECT_EQ((probe >> 16) & 0xFFFFu, 1u << 7) << simd::to_string(level);
-    EXPECT_EQ((probe >> 32) & 0xFFFFu, (1u << 7) | (1u << 11))
-        << simd::to_string(level);
-  }
-}
+  const std::uint64_t probe = simd::probe_group(tags, 0x42);
+  EXPECT_EQ(probe & 0xFFFFu, 1u << 3);
+  EXPECT_EQ((probe >> 16) & 0xFFFFu, 1u << 7);
+  EXPECT_EQ((probe >> 32) & 0xFFFFu, (1u << 7) | (1u << 11));
+  // The table's regrow loop looks for empty lanes with match_tags16.
+  EXPECT_EQ(simd::match_tags16(tags, 0xFF), 1u << 7);
+  EXPECT_EQ(simd::match_tags16(tags, 0x11), 0xFFFFu & ~((1u << 3) | (1u << 7) |
+                                                        (1u << 11)));
 
-TEST(SimdKernels, WordKernelsMatchScalarAtBoundaryWordCounts) {
-  const simd::Kernels& scalar = *simd::kernels_for_level(simd::Level::Scalar);
-  Prng rng(0x51d);
-  // 1/2/4/8 words are the bitset tiers; 13 is the sparse rep's inline
-  // width; 3/5/7/9 straddle every vector register boundary (the AVX2 loop
-  // is 4 words per lane, AVX-512 is 8 plus a masked tail).
-  const std::size_t word_counts[] = {1, 2, 3, 4, 5, 7, 8, 9, 13, 16};
-  for (simd::Level level : executable_levels()) {
-    const simd::Kernels& k = *simd::kernels_for_level(level);
-    for (const std::size_t n : word_counts) {
-      for (int round = 0; round < 200; ++round) {
-        std::vector<std::uint64_t> a(n), b(n);
-        for (auto& w : a) w = rng.next_u64();
-        // Make equality non-trivially reachable: half the rounds copy a.
-        if ((round & 1) == 0) {
-          b = a;
-          if ((round & 3) == 2) b[rng.next_below(n)] ^= 1ull << (round % 64);
-        } else {
-          for (auto& w : b) w = rng.next_u64();
-        }
-        EXPECT_EQ(k.eq_words(a.data(), b.data(), n),
-                  scalar.eq_words(a.data(), b.data(), n))
-            << simd::to_string(level) << " n=" << n;
-        EXPECT_EQ(k.popcount_words(a.data(), n),
-                  scalar.popcount_words(a.data(), n))
-            << simd::to_string(level) << " n=" << n;
-        std::vector<std::uint64_t> got(n), want(n);
-        k.or_words(got.data(), a.data(), b.data(), n);
-        scalar.or_words(want.data(), a.data(), b.data(), n);
-        EXPECT_EQ(got, want) << simd::to_string(level) << " or n=" << n;
-      }
+  // Random groups against the per-byte definition.  The probes are SWAR,
+  // so the bytes are drawn near the tag and the byte-class edges, where a
+  // borrow or carry leaking into a neighbouring lane would show.
+  Prng rng(0x7a95);
+  for (int round = 0; round < 4096; ++round) {
+    const auto tag = static_cast<std::uint8_t>(rng.next_u64() & 0x7F);
+    const std::uint8_t near[] = {
+        tag, static_cast<std::uint8_t>(tag ^ 1u),
+        static_cast<std::uint8_t>(tag + 1u), static_cast<std::uint8_t>(tag - 1u),
+        0x00, 0x01, 0x7F, 0x80, 0xFE, 0xFF};
+    std::uint8_t group[16];
+    std::uint64_t want = 0;
+    for (unsigned i = 0; i < 16; ++i) {
+      const std::uint64_t r = rng.next_u64();
+      group[i] = r % 11 < 10 ? near[r % 11] : static_cast<std::uint8_t>(r >> 8);
+      want |= std::uint64_t{group[i] == tag} << i;
+      want |= std::uint64_t{group[i] == 0xFF} << (16 + i);
+      want |= std::uint64_t{(group[i] & 0x80u) != 0} << (32 + i);
     }
+    ASSERT_EQ(simd::probe_group(group, tag), want) << "round " << round;
+    ASSERT_EQ(simd::match_tags16(group, tag), want & 0xFFFFu)
+        << "round " << round;
   }
-}
-
-TEST(SimdKernels, SetLevelClampsToDetectedAndRestores) {
-  const simd::Level detected = simd::detect_level();
-  const simd::Level before = simd::active_level();
-  {
-    LevelGuard guard(simd::Level::Scalar);
-    EXPECT_EQ(simd::active_level(), simd::Level::Scalar);
-    // Requesting more than the CPU has clamps; requesting what it has
-    // round-trips.
-    EXPECT_EQ(simd::set_level(simd::Level::Avx512),
-              detected >= simd::Level::Avx512 ? simd::Level::Avx512
-                                              : detected);
-    EXPECT_EQ(simd::set_level(detected), detected);
-  }
-  EXPECT_EQ(simd::active_level(), before);
 }
 
 // ---------------------------------------------------------------------------
@@ -318,8 +224,8 @@ TEST(Arena, ArenaVectorGrowsAndSurvivesReset) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level reference: every representation tier at every level against
-// a textbook mod-2 set model
+// Engine-level reference: every representation tier against a textbook
+// mod-2 set model
 // ---------------------------------------------------------------------------
 
 struct Step {
@@ -404,11 +310,8 @@ EngineRun run_model(std::size_t num_slots, const std::vector<Step>& script) {
   return run;
 }
 
-EngineRun run_script(std::size_t num_slots, const std::vector<Step>& script,
-                     simd::Level level) {
-  LevelGuard guard(level);
+EngineRun run_script(std::size_t num_slots, const std::vector<Step>& script) {
   ConeEngine engine(num_slots, static_cast<Slot>(num_slots - 1));
-  EXPECT_EQ(engine.level(), level) << "engine must snapshot the forced level";
   for (const Step& step : script) {
     engine.substitute(step.var, step.terms);
   }
@@ -424,22 +327,19 @@ EngineRun run_script(std::size_t num_slots, const std::vector<Step>& script,
 
 class EngineWidths : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(EngineWidths, EveryLevelMatchesTextbookModel) {
+TEST_P(EngineWidths, MatchesTextbookModel) {
   const std::size_t num_slots = GetParam();
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const auto script = make_script(num_slots, seed * 0x9e37 + num_slots);
     const EngineRun want = run_model(num_slots, script);
-    for (simd::Level level : executable_levels()) {
-      const EngineRun got = run_script(num_slots, script, level);
-      const std::string label = std::string(simd::to_string(level)) +
-                                " slots=" + std::to_string(num_slots) +
-                                " seed=" + std::to_string(seed);
-      EXPECT_EQ(got.rep, want.rep) << label;
-      EXPECT_EQ(got.size, want.size) << label;
-      EXPECT_EQ(got.cancellations, want.cancellations) << label;
-      EXPECT_EQ(got.peak_terms, want.peak_terms) << label;
-      EXPECT_EQ(got.monomials, want.monomials) << label;
-    }
+    const EngineRun got = run_script(num_slots, script);
+    const std::string label = "slots=" + std::to_string(num_slots) +
+                              " seed=" + std::to_string(seed);
+    EXPECT_EQ(got.rep, want.rep) << label;
+    EXPECT_EQ(got.size, want.size) << label;
+    EXPECT_EQ(got.cancellations, want.cancellations) << label;
+    EXPECT_EQ(got.peak_terms, want.peak_terms) << label;
+    EXPECT_EQ(got.monomials, want.monomials) << label;
   }
 }
 
@@ -455,8 +355,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::size_t{513}, std::size_t{900}));
 
 // ---------------------------------------------------------------------------
-// Flow-level differential: FlowReports bit-identical across levels,
-// families and thread counts
+// Flow-level differential: FlowReports bit-identical across thread counts
+// per family, and the wide tiers against the NaiveScan oracle
 // ---------------------------------------------------------------------------
 
 struct FamilyCase {
@@ -464,8 +364,8 @@ struct FamilyCase {
   nl::Netlist (*generate)(const gf2m::Field&);
   unsigned m;
   // The squarer is not a two-operand multiplier, so the flow diagnoses it
-  // rather than succeeding — its *failure* report must be level-identical
-  // too.
+  // rather than succeeding — its *failure* report must be thread-count
+  // independent too.
   bool expect_success;
 };
 
@@ -487,31 +387,22 @@ nl::Netlist make_squarer(const gf2m::Field& f) {
 
 class SimdFlowFamilies : public ::testing::TestWithParam<FamilyCase> {};
 
-TEST_P(SimdFlowFamilies, ReportsBitIdenticalAcrossLevelsAndThreads) {
+TEST_P(SimdFlowFamilies, ReportsBitIdenticalAcrossThreads) {
   const FamilyCase family = GetParam();
   const gf2m::Field field(gf2::has_paper_polynomial(family.m)
                               ? gf2::paper_polynomial(family.m).p
                               : gf2::default_irreducible(family.m));
   const auto netlist = family.generate(field);
-  for (unsigned threads : {1u, 4u}) {
-    core::FlowOptions options;
-    options.threads = threads;
-    core::FlowReport want;
-    {
-      LevelGuard guard(simd::Level::Scalar);
-      want = core::reverse_engineer(netlist, options);
-    }
-    EXPECT_EQ(want.success, family.expect_success) << family.name;
-    for (simd::Level level : executable_levels()) {
-      if (level == simd::Level::Scalar) continue;
-      LevelGuard guard(level);
-      const auto got = core::reverse_engineer(netlist, options);
-      test::expect_reports_equal(
-          got, want,
-          std::string(family.name) + " m=" + std::to_string(family.m) + " " +
-              simd::to_string(level) + " threads=" + std::to_string(threads));
-    }
-  }
+  core::FlowOptions options;
+  options.threads = 1;
+  const auto want = core::reverse_engineer(netlist, options);
+  EXPECT_EQ(want.success, family.expect_success) << family.name;
+  options.threads = 4;
+  const auto got = core::reverse_engineer(netlist, options);
+  test::expect_reports_equal(
+      got, want,
+      std::string(family.name) + " m=" + std::to_string(family.m) +
+          " threads=4 vs 1");
 }
 
 // m=16 puts montgomery/karatsuba cones into the multi-word tiers; the
@@ -544,26 +435,19 @@ nl::Netlist xor_chain(unsigned num_inputs, unsigned num_gates) {
   return netlist;
 }
 
-TEST(SimdFlow, Bits512AndSparseConesMatchScalar) {
-  // 400 gates -> Bits512 tier; 700 gates -> Sparse spill.  Both must be
-  // level-independent through the real extraction path.
+TEST(SimdFlow, Bits512AndSparseConesMatchNaiveScan) {
+  // 400 gates -> Bits512 tier; 700 gates -> Sparse spill.  Both must agree
+  // with the textbook oracle through the real extraction path.
   for (unsigned gates : {400u, 700u}) {
     const auto netlist = xor_chain(8, gates);
     core::RewriteOptions options;
+    options.strategy = core::RewriteStrategy::NaiveScan;
+    const auto want =
+        core::extract_output_anf(netlist, netlist.outputs()[0], options);
     options.strategy = core::RewriteStrategy::Packed;
-    anf::Anf want;
-    {
-      LevelGuard guard(simd::Level::Scalar);
-      want = core::extract_output_anf(netlist, netlist.outputs()[0], options);
-    }
-    for (simd::Level level : executable_levels()) {
-      if (level == simd::Level::Scalar) continue;
-      LevelGuard guard(level);
-      const auto got =
-          core::extract_output_anf(netlist, netlist.outputs()[0], options);
-      EXPECT_EQ(got, want)
-          << simd::to_string(level) << " gates=" << gates;
-    }
+    const auto got =
+        core::extract_output_anf(netlist, netlist.outputs()[0], options);
+    EXPECT_EQ(got, want) << "gates=" << gates;
   }
 }
 
@@ -583,23 +467,19 @@ TEST(SimdEngine, ConeExtractionIsAllocationFreeAfterWarmup) {
     return engine.size();
   };
 
-  for (simd::Level level : executable_levels()) {
-    LevelGuard guard(level);
-    // Warmup: grows the thread's arena chunks and the table to their
-    // steady-state footprint.
-    const std::size_t warm_size = run_cone();
+  // Warmup: grows the thread's arena chunks and the table to their
+  // steady-state footprint.
+  const std::size_t warm_size = run_cone();
 
-    // Steady state: the identical cone must allocate nothing at all.
-    const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-    const std::size_t size1 = run_cone();
-    const std::size_t size2 = run_cone();
-    const std::size_t after = g_allocations.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u)
-        << simd::to_string(level)
-        << ": cone extraction must be allocation-free after arena warmup";
-    EXPECT_EQ(size1, warm_size) << simd::to_string(level);
-    EXPECT_EQ(size2, warm_size) << simd::to_string(level);
-  }
+  // Steady state: the identical cone must allocate nothing at all.
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  const std::size_t size1 = run_cone();
+  const std::size_t size2 = run_cone();
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << "cone extraction must be allocation-free after arena warmup";
+  EXPECT_EQ(size1, warm_size);
+  EXPECT_EQ(size2, warm_size);
 }
 
 TEST(SimdEngine, AllocationCounterHookIsLive) {
